@@ -173,9 +173,16 @@ def _chart_candidates(n):
     return r / np.linalg.norm(r, axis=1, keepdims=True)
 
 
-def _least_margin(reps, states, chart):
-    return min(_chart_margin(phi(v, quat_mul(s, chart)))
-               for v, s in zip(reps, states))
+def _chart_margins(reps, states, charts):
+    """The (n, m) margins |x|/|z| of phi(v_i, s_i r_j) for unit contact
+    points v_i, unit states s_i and unit charts r_j (the rows of `charts`).
+
+    The chart coordinate is x = Re(v s r) = <conj(v s), r> and
+    |phi(v, s r)|^2 = 4 - x^2, so one product scores every chart.
+    """
+    w = np.array([quat_conj(quat_mul(quat(0.0, v), s)) for v, s in zip(reps, states)])
+    x = w @ charts.T
+    return np.abs(x) / np.sqrt(4.0 - x * x)
 
 
 def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8, dancing_tol=1e-6):
@@ -189,9 +196,14 @@ def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8, dancing_tol=1e-6):
     polygons to closed rolling polygons (the body-frame rotations, part of
     the SO(4) in G2 that preserves the distribution).  The chart is the
     identity whenever every vertex clears GENERIC_MARGIN; otherwise it is
-    the candidate of `_chart_candidates` whose least vertex margin |x|/|z|
-    is largest.  So q = 1 on the doubled octant, whose vertex states all
-    have x = 0, still yields a dancing pair.
+    the first candidate of `_chart_candidates` whose least vertex margin is
+    largest.  For unit v, s and r the margin of a vertex is
+
+        |x| / |z| = |x| / sqrt(4 - x^2),   x = Re(v s r) = <conj(v s), r>,
+
+    so one (n, 4) x (4, 3n + 1) product scores every candidate, and phi is
+    built only for the n chosen states.  So q = 1 on the doubled octant,
+    whose vertex states all have x = 0, still yields a dancing pair.
 
     Raises NontrivialMonodromy when the lifted monodromy is not exactly
     trivial, NonGeneric when no candidate chart keeps every vertex state
@@ -211,10 +223,9 @@ def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8, dancing_tol=1e-6):
         raise NontrivialMonodromy(
             "lifted monodromy defect %.3g" % quat_distance(states[-1], states[0]))
     states = states[:n]
-    chart = QUAT_ONE
-    if _least_margin(reps, states, chart) < GENERIC_MARGIN:
-        chart = max(_chart_candidates(n),
-                    key=lambda r: _least_margin(reps, states, r))
+    candidates = _chart_candidates(n)
+    least = _chart_margins(reps, states, candidates).min(axis=0)
+    chart = candidates[0 if least[0] >= GENERIC_MARGIN else int(np.argmax(least))]
     points = [iota_inv(phi(v, quat_mul(s, chart))) for v, s in zip(reps, states)]
     pair = DancingPair([p.A for p in points], [p.b for p in points],
                        closed=True, chart=chart)

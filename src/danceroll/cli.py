@@ -19,10 +19,13 @@ import numpy as np
 from . import bridge, docio, eulerroll, rolling, svg
 from .dancing import dancing_residual, inscribed_residual, nondegeneracy_report
 from .errors import (
+    ClosureFailure,
     DancerollError,
     DegenerateConfiguration,
     NonGeneric,
     NontrivialMonodromy,
+    NotDancing,
+    NotInscribed,
 )
 from .geom import QUAT_ONE, matrix_to_quat, quat_distance
 
@@ -174,7 +177,10 @@ def cmd_dance(polygon_file, q_text, out, svg_path, chart, tol):
               help="write the spherical JSON here instead of stdout")
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 def cmd_undance(pair_file, out, tol):
-    """Transport a closed dancing pair back to a spherical polygon."""
+    """Transport a closed dancing pair back to a spherical polygon.
+
+    Exits 2 on nontrivial monodromy, 4 on a non-generic configuration and
+    5 when the pair does not lift back to a closed horizontal polygon."""
     pair = docio.doc_to_pair(docio.load_document(pair_file))
     try:
         lift = bridge.pipeline_inverse(pair, monodromy_tol=tol)
@@ -184,6 +190,10 @@ def cmd_undance(pair_file, out, tol):
     except (NonGeneric, DegenerateConfiguration) as exc:
         click.echo("non-generic configuration: %s" % exc, err=True)
         sys.exit(4)
+    except (ClosureFailure, NotDancing, NotInscribed) as exc:
+        click.echo("pair does not lift back (%s): %s"
+                   % (type(exc).__name__, exc), err=True)
+        sys.exit(5)
     poly = rolling.SphericalPolygon(lift.classes, closed=True, rho=3.0)
     doc = docio.polygon_to_doc(poly, metadata={"tolerance": tol})
     text = docio.dump_document(doc, out)

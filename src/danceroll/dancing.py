@@ -187,14 +187,14 @@ def nondegeneracy_report(pair):
     """Certificates of the genericity assumptions: each A_i off b_i,
     consecutive vertex triples non-collinear, consecutive edge triples
     non-concurrent.  Returns the three lists of |det|-style margins."""
-    n = len(pair)
-    off_edge = [abs(float(normalize_rep(pair.b[i]) @ normalize_rep(pair.A[i])))
-                for i in range(n)]
-    rng_v = range(n) if pair.closed else range(n - 2)
-    tri_v = [abs(np.linalg.det(np.array([normalize_rep(_wrap(pair.A, i + k))
-                                         for k in range(3)]))) for i in rng_v]
-    tri_b = [abs(np.linalg.det(np.array([normalize_rep(_wrap(pair.b, i + k))
-                                         for k in range(3)]))) for i in rng_v]
+    A = [normalize_rep(a) for a in pair.A]
+    b = [normalize_rep(bb) for bb in pair.b]
+    off_edge = [abs(float(bb @ a)) for a, bb in zip(A, b)]
+    rng_v = pair.vertex_indices()
+    tri_v = [abs(np.linalg.det(np.array([_wrap(A, i + k) for k in range(3)])))
+             for i in rng_v]
+    tri_b = [abs(np.linalg.det(np.array([_wrap(b, i + k) for k in range(3)])))
+             for i in rng_v]
     return off_edge, tri_v, tri_b
 
 

@@ -52,11 +52,6 @@ def normalize_rep(v, tol=TOL):
     return v
 
 
-def proj_equal(v, w, tol=TOL):
-    """Equality of projective classes."""
-    return np.linalg.norm(normalize_rep(v, tol) - normalize_rep(w, tol)) <= tol
-
-
 def proj_distance(v, w):
     """Distance between canonical representatives (0 iff same class)."""
     a = normalize_rep(v)
@@ -129,11 +124,13 @@ QUAT_ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def quat_mul(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    s = p[0] * q[0] - p[1:] @ q[1:]
-    w = p[0] * q[1:] + q[0] * p[1:] + np.cross(p[1:], q[1:])
-    return quat(s, w)
+    """Hamilton product p q, written out on Python floats."""
+    p0, p1, p2, p3 = np.asarray(p, dtype=float).tolist()
+    q0, q1, q2, q3 = np.asarray(q, dtype=float).tolist()
+    return np.array([p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+                     p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+                     p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+                     p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0])
 
 
 def quat_conj(q):

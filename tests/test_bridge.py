@@ -10,6 +10,7 @@ from danceroll.errors import (
 )
 from danceroll.geom import (
     QUAT_ONE,
+    normalize_rep,
     proj_distance,
     quat_distance,
     quat_mul,
@@ -215,3 +216,39 @@ class TestPipeline:
             assert abs(dancing.dancing_residual(pair, i)) <= 1e-8
         lift = bridge.pipeline_inverse(pair)
         assert quat_distance(lift.start_quaternion, q) <= 1e-8
+
+
+class TestChartScore:
+    def unit_start_polygons(self):
+        for row in rolling.enumerate_admissible(16):
+            yield rolling.regular_polygon(row["n"], row["w"], row["phi"]).vertices
+        yield [EX, EY, EZ] * 2
+
+    def vertex_states(self, classes):
+        reps = [normalize_rep(c) for c in classes]
+        states = [QUAT_ONE]
+        for i in range(len(reps) - 1):
+            mu = rolling.projective_edge_monodromy(reps[i], reps[i + 1])
+            states.append(quat_mul(mu, states[-1]))
+        return reps, states
+
+    def test_batched_margins_and_unit_start_roundtrip(self):
+        # q = 1 puts vertex states on x = 0 for every polygon here, so each
+        # takes the chart search; the one-product score must agree with the
+        # margins of the octonions phi builds, and the chosen chart must
+        # attain the largest least margin
+        for classes in self.unit_start_polygons():
+            reps, states = self.vertex_states(classes)
+            candidates = bridge._chart_candidates(len(reps))
+            batched = bridge._chart_margins(reps, states, candidates)
+            direct = np.array([[bridge._chart_margin(bridge.phi(v, quat_mul(s, r)))
+                                for r in candidates]
+                               for v, s in zip(reps, states)])
+            assert direct[:, 0].min() < bridge.GENERIC_MARGIN
+            assert np.abs(batched - direct).max() <= 1e-12
+            pair = bridge.pipeline_forward(classes, QUAT_ONE)
+            chosen = min(bridge._chart_margin(bridge.phi(v, quat_mul(s, pair.chart)))
+                         for v, s in zip(reps, states))
+            assert chosen >= direct.min(axis=0).max() - 1e-12
+            lift = bridge.pipeline_inverse(pair)
+            assert quat_distance(lift.start_quaternion, QUAT_ONE) <= 1e-8

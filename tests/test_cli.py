@@ -180,6 +180,23 @@ class TestDanceUndance:
         for v, t in zip(poly.vertices, [EX, EY, EZ] * 2):
             assert proj_distance(v, t) <= 1e-8
 
+    def test_pair_that_does_not_lift_back_exits_5(self, runner, tmp_path):
+        # dance writes this pair and verify passes it, but its non-degeneracy
+        # margin (6e-6) is too thin for the lift's closure thresholds
+        poly = rolling.regular_polygon(11, 4, rolling.solve_phi(11, 4, 8))
+        path = write(tmp_path, "p.json", docio.polygon_to_doc(poly))
+        pair_path = str(tmp_path / "pair.json")
+        res = runner.invoke(main, ["dance", path, "--q", "0.5,0.5,0.5,0.5",
+                                   "--out", pair_path])
+        assert res.exit_code == 0
+        assert runner.invoke(main, ["verify", pair_path]).exit_code == 0
+        res = runner.invoke(main, ["undance", pair_path])
+        assert res.exit_code == 5
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("pair does not lift back (ClosureFailure)")
+
     def test_nontrivial_monodromy_exits_2(self, runner, tmp_path):
         path = write(tmp_path, "oct.json", octant_doc())
         res = runner.invoke(main, ["dance", path, "--q", "0.5,0.5,0.5,0.5"])

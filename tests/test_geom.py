@@ -111,6 +111,14 @@ class TestQuaternions:
         rhs = geom.quat_mul(geom.quat_conj(q), geom.quat_conj(p))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    @given(UNIT_QUATS, UNIT_QUATS)
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_rotation_matrices(self, p, q):
+        # quat_to_matrix is the oracle: it shares no formula with quat_mul
+        assert np.allclose(geom.quat_to_matrix(geom.quat_mul(p, q)),
+                           geom.quat_to_matrix(p) @ geom.quat_to_matrix(q),
+                           atol=1e-12)
+
     @given(UNIT_QUATS)
     @settings(max_examples=60, deadline=None)
     def test_rotation_roundtrip(self, q):
