@@ -23,11 +23,12 @@ from .dancing import (
     lift_dancing_pair,
 )
 from .errors import (
+    ClosureFailure,
     DegenerateConfiguration,
     DegenerateRay,
-    InternalInconsistency,
     NonGeneric,
     NontrivialMonodromy,
+    NotDancing,
     NotOnCone,
 )
 from .geom import (
@@ -105,7 +106,7 @@ def phi_inv(z, tol=1e-9):
     w = 0.5 * np.cross(zz.A, zz.b) - zz.x * v
     q = quat(s, w)
     if abs(np.linalg.norm(q) - 1.0) > max(tol, 1e-7):
-        raise InternalInconsistency("recovered quaternion is not unit")
+        raise DegenerateRay("recovered quaternion is not unit")
     return v, q
 
 
@@ -207,9 +208,10 @@ def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8, dancing_tol=1e-6):
 
     Raises NontrivialMonodromy when the lifted monodromy is not exactly
     trivial, NonGeneric when no candidate chart keeps every vertex state
-    off the x = 0 hyperplane of the cone chart, and DegenerateConfiguration
-    when the contact classes or the output fail the genericity the dancing
-    condition needs.
+    off the x = 0 hyperplane of the cone chart, NotDancing when the output
+    fails the dancing condition, and DegenerateConfiguration when the
+    contact classes or the output fail the genericity the dancing condition
+    needs.
     """
     reps = [normalize_rep(c) for c in classes]
     _class_polygon_checks(reps)
@@ -232,7 +234,7 @@ def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8, dancing_tol=1e-6):
     for i in pair.vertex_indices():
         r = dancing_residual(pair, i)
         if abs(r) > dancing_tol:
-            raise InternalInconsistency("dancing residual %.3g at vertex %d" % (r, i))
+            raise NotDancing("dancing residual %.3g at vertex %d" % (r, i))
     if not is_nondegenerate(pair):
         raise DegenerateConfiguration("transported pair fails genericity")
     return pair
@@ -247,7 +249,7 @@ def pipeline_inverse(pair, monodromy_tol=1e-8):
     of ray representative along every straight horizontal edge), and each
     ray is read as a rolling state.  Those states are s r for the pair's
     `chart` r (see pipeline_forward), so each is multiplied on the right by
-    conj(r) to give back the states s.  InternalInconsistency is raised
+    conj(r) to give back the states s.  ClosureFailure is raised
     when the recovered states fail to be connected by the rolling edge
     factors or the recovered monodromy is not trivial.
     """
@@ -264,7 +266,7 @@ def pipeline_inverse(pair, monodromy_tol=1e-8):
         mu = projective_edge_monodromy(v1, v2)
         expected = quat_mul(mu, qs[i])
         if quat_distance(expected, qs[(i + 1) % n]) > max(monodromy_tol, 1e-7):
-            raise InternalInconsistency(
+            raise ClosureFailure(
                 "edge %d does not transport the recovered state" % i)
     classes = [normalize_rep(v) for v in reps]
     return RollingLift(classes, reps, qs)

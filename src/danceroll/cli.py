@@ -27,7 +27,17 @@ from .errors import (
     NotDancing,
     NotInscribed,
 )
-from .geom import QUAT_ONE, matrix_to_quat, quat_distance
+from .geom import quat_distance
+
+# The exit code and message of each failure that dance and undance report.
+EXIT_CODES = {
+    NontrivialMonodromy: (2, "nontrivial monodromy"),
+    NonGeneric: (4, "non-generic configuration"),
+    DegenerateConfiguration: (4, "non-generic configuration"),
+    ClosureFailure: (5, "pair does not lift back"),
+    NotDancing: (5, "pair does not lift back"),
+    NotInscribed: (5, "pair does not lift back"),
+}
 
 
 @click.group()
@@ -37,6 +47,21 @@ def main():
 
 def _fmt_quat(q):
     return "[% .12f % .12f % .12f % .12f]" % tuple(q)
+
+
+def _load(path, convert):
+    """convert(document at path); a malformed document ends the command
+    with a one-line error and exit code 1."""
+    try:
+        return convert(docio.load_document(path))
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
+def _exit_on_failure(exc):
+    code, what = EXIT_CODES[type(exc)]
+    click.echo("%s (%s): %s" % (what, type(exc).__name__, exc), err=True)
+    sys.exit(code)
 
 
 @main.command("solve-regular")
@@ -110,7 +135,7 @@ def cmd_enumerate(n_max, as_json):
               help="method agreement tolerance with --verify")
 def cmd_roll(polygon_file, rho, method, verify, steps, tol):
     """Rolling monodromy of a closed spherical polygon."""
-    poly = docio.doc_to_polygon(docio.load_document(polygon_file))
+    poly = _load(polygon_file, docio.doc_to_polygon)
     if rho is not None:
         poly.rho = rho
     det_margin, sine_margin = poly.nondegeneracy_margin()
@@ -147,17 +172,16 @@ def cmd_roll(polygon_file, rho, method, verify, steps, tol):
               show_default=True, help="affine chart for the SVG")
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 def cmd_dance(polygon_file, q_text, out, svg_path, chart, tol):
-    """Transport a trivial-monodromy spherical polygon to a dancing pair."""
-    poly = docio.doc_to_polygon(docio.load_document(polygon_file))
+    """Transport a trivial-monodromy spherical polygon to a dancing pair.
+
+    Exits 2 on nontrivial monodromy, 4 on a non-generic configuration and
+    5 when the transported pair fails the dancing condition."""
+    poly = _load(polygon_file, docio.doc_to_polygon)
     q = docio.parse_quaternion(q_text)
     try:
         pair = bridge.pipeline_forward(poly.vertices, q, monodromy_tol=tol)
-    except NontrivialMonodromy as exc:
-        click.echo("nontrivial monodromy: %s" % exc, err=True)
-        sys.exit(2)
-    except (NonGeneric, DegenerateConfiguration) as exc:
-        click.echo("non-generic configuration: %s" % exc, err=True)
-        sys.exit(4)
+    except tuple(EXIT_CODES) as exc:
+        _exit_on_failure(exc)
     doc = docio.pair_to_doc(pair, metadata={"tolerance": tol,
                                             "q": [float(c) for c in q]})
     text = docio.dump_document(doc, out)
@@ -181,19 +205,11 @@ def cmd_undance(pair_file, out, tol):
 
     Exits 2 on nontrivial monodromy, 4 on a non-generic configuration and
     5 when the pair does not lift back to a closed horizontal polygon."""
-    pair = docio.doc_to_pair(docio.load_document(pair_file))
+    pair = _load(pair_file, docio.doc_to_pair)
     try:
         lift = bridge.pipeline_inverse(pair, monodromy_tol=tol)
-    except NontrivialMonodromy as exc:
-        click.echo("nontrivial monodromy: %s" % exc, err=True)
-        sys.exit(2)
-    except (NonGeneric, DegenerateConfiguration) as exc:
-        click.echo("non-generic configuration: %s" % exc, err=True)
-        sys.exit(4)
-    except (ClosureFailure, NotDancing, NotInscribed) as exc:
-        click.echo("pair does not lift back (%s): %s"
-                   % (type(exc).__name__, exc), err=True)
-        sys.exit(5)
+    except tuple(EXIT_CODES) as exc:
+        _exit_on_failure(exc)
     poly = rolling.SphericalPolygon(lift.classes, closed=True, rho=3.0)
     doc = docio.polygon_to_doc(poly, metadata={"tolerance": tol})
     text = docio.dump_document(doc, out)
@@ -207,7 +223,7 @@ def cmd_undance(pair_file, out, tol):
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 def cmd_verify(pair_file, tol):
     """Check the dancing condition and genericity of a dancing-pair file."""
-    pair = docio.doc_to_pair(docio.load_document(pair_file))
+    pair = _load(pair_file, docio.doc_to_pair)
     failed = []
     for i in pair.vertex_indices():
         try:
@@ -222,7 +238,12 @@ def cmd_verify(pair_file, tol):
         if not ok:
             failed.append(i)
     for i in pair.edge_indices():
-        r = inscribed_residual(pair, i)
+        try:
+            r = inscribed_residual(pair, i)
+        except DegenerateConfiguration as exc:
+            click.echo("edge %d: degenerate (%s)" % (i, exc))
+            failed.append(i)
+            continue
         ok = r <= max(tol, 1e-8)
         click.echo("edge %d: inscribed residual %.3g  %s"
                    % (i, r, "ok" if ok else "FAIL"))

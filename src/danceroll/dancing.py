@@ -24,14 +24,10 @@ from .errors import (
     ClosureFailure,
     DancingError,
     DegenerateConfiguration,
-    DegenerateDecomposition,
     DegenerateQuadruple,
-    IdenticalPoints,
     NotCollinear,
     NotDancing,
     NotInscribed,
-    SamplingExhausted,
-    ScaleUndefined,
 )
 from .geom import (
     QUAT_ONE,
@@ -115,11 +111,6 @@ class DancingPair:
         return range(n) if self.closed else range(n - 1)
 
 
-def qdan_project(p):
-    """Projective classes of a quadric point."""
-    return normalize_rep(p.A), normalize_rep(p.b)
-
-
 def dan_distribution_basis(p):
     """Two independent tangent directions (Adot, bdot) spanning the rank-2
     plane at p: bdot = A x Adot with b Adot = 0 (tangency to the quadric
@@ -134,12 +125,6 @@ def dan_distribution_basis(p):
 def horizontal_residual(p, q):
     """Norm of (b_2 - b_1) - A_1 x A_2 for two quadric points."""
     return float(np.linalg.norm((q.b - p.b) - np.cross(p.A, q.A)))
-
-
-def is_horizontal_segment(p, q, tol=DANCING_TOL):
-    if p.distance(q) <= TOL:
-        raise IdenticalPoints("segment endpoints coincide")
-    return horizontal_residual(p, q) <= tol
 
 
 def _wrap(seq, i):
@@ -180,7 +165,10 @@ def inscribed_residual(pair, i):
     j = (i + 1) % n
     B = covec_cross(pair.b[i], pair.b[j])
     a = vec_cross(pair.A[i], pair.A[j])
-    return abs(float(normalize_rep(a) @ normalize_rep(B)))
+    try:
+        return abs(float(normalize_rep(a) @ normalize_rep(B)))
+    except ValueError as exc:
+        raise DegenerateConfiguration(str(exc)) from exc
 
 
 def nondegeneracy_report(pair):
@@ -218,11 +206,11 @@ def lift_inscribed_2gon(a1, b1, a2, b2, tol=TOL):
     b1 = normalize_rep(b1)
     b2 = normalize_rep(b2)
     if proj_distance(a1, a2) <= tol or proj_distance(b1, b2) <= tol:
-        raise DegenerateDecomposition("2-gon needs distinct vertices and edges")
+        raise DegenerateConfiguration("2-gon needs distinct vertices and edges")
     s1 = float(b1 @ a1)
     s2 = float(b2 @ a2)
     if abs(s1) <= tol or abs(s2) <= tol:
-        raise DegenerateDecomposition("a vertex lies on its own edge")
+        raise DegenerateConfiguration("a vertex lies on its own edge")
     A1, B1 = a1 / s1, b1
     A2, B2 = a2 / s2, b2
     chord = np.cross(A1, A2)
@@ -232,7 +220,7 @@ def lift_inscribed_2gon(a1, b1, a2, b2, tol=TOL):
         raise NotInscribed("edge intersection is off the vertex chord")
     lam1, lam2 = lam
     if abs(lam1) <= tol or abs(lam2) <= tol:
-        raise DegenerateDecomposition("chord normal degenerate in the edge pencil")
+        raise DegenerateConfiguration("chord normal degenerate in the edge pencil")
     x1 = np.cbrt(lam2 / lam1 ** 2)
     x2 = -np.cbrt(lam1 / lam2 ** 2)
     return QDanPoint(x1 * A1, B1 / x1), QDanPoint(x2 * A2, B2 / x2)
@@ -250,11 +238,11 @@ def extend_horizontal(prev, a, b, tol=TOL):
     A0 = normalize_rep(a)
     s = float(B @ A0)
     if abs(s) <= tol:
-        raise ScaleUndefined("new vertex lies on the new edge")
+        raise DegenerateConfiguration("new vertex lies on the new edge")
     A = A0 / s
     x = float(B @ prev.A)
     if abs(x) <= tol:
-        raise ScaleUndefined("previous vertex lies on the new edge")
+        raise DegenerateConfiguration("previous vertex lies on the new edge")
     lifted = QDanPoint(x * A, B / x)
     return lifted, horizontal_residual(prev, lifted)
 
@@ -341,7 +329,7 @@ def random_horizontal_chain(n, seed=None, rng=None, step=(0.4, 1.2)):
                     break
         if ok:
             return HorizontalPolygon(pts, closed=False)
-    raise SamplingExhausted("could not sample a generic horizontal chain")
+    raise DegenerateConfiguration("could not sample a generic horizontal chain")
 
 
 def _solve_next_edge_raw(A, bs, i):
@@ -418,7 +406,7 @@ def random_dancing_chain(n, seed=None, max_tries=200):
             return pair
         except (DancingError, DegenerateQuadruple, NotCollinear):
             continue
-    raise SamplingExhausted("no generic dancing chain found in %d tries" % max_tries)
+    raise DegenerateConfiguration("no generic dancing chain found in %d tries" % max_tries)
 
 
 # ---------------------------------------------------------------------------

@@ -69,17 +69,22 @@ def _require(cond, msg):
         raise DocumentError(msg)
 
 
+def _is_number(c):
+    """A finite JSON number; JSON true and false are not numbers."""
+    return isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+
+
 def _check_rows(rows, name):
     _require(isinstance(rows, list) and len(rows) >= 1, "%s must be a nonempty list" % name)
     for row in rows:
         _require(isinstance(row, list) and len(row) == 3
-                 and all(isinstance(c, (int, float)) for c in row),
-                 "%s entries must be numeric 3-vectors" % name)
+                 and all(_is_number(c) for c in row) and any(c != 0 for c in row),
+                 "%s entries must be nonzero 3-vectors of finite numbers" % name)
 
 
 def doc_to_polygon(doc):
     _require(doc.get("kind") == "spherical", "expected a spherical document")
-    _check_rows(doc["vertices"], "vertices")
+    _check_rows(doc.get("vertices"), "vertices")
     return SphericalPolygon([np.array(v, dtype=float) for v in doc["vertices"]],
                             closed=bool(doc.get("closed", True)),
                             rho=float(doc.get("rho", 3.0)))
@@ -87,13 +92,12 @@ def doc_to_polygon(doc):
 
 def doc_to_pair(doc):
     _require(doc.get("kind") == "dancing-pair", "expected a dancing-pair document")
-    _check_rows(doc["A"], "A")
-    _check_rows(doc["b"], "b")
+    _check_rows(doc.get("A"), "A")
+    _check_rows(doc.get("b"), "b")
     _require(len(doc["A"]) == len(doc["b"]), "A and b must have equal length")
     chart = doc.get("chart", [1.0, 0.0, 0.0, 0.0])
     _require(isinstance(chart, list) and len(chart) == 4
-             and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                     and math.isfinite(c) for c in chart)
+             and all(_is_number(c) for c in chart)
              and abs(np.linalg.norm(chart) - 1.0) <= CHART_NORM_TOL,
              "chart must be a unit quaternion of four finite numbers")
     return DancingPair([np.array(a, dtype=float) for a in doc["A"]],
@@ -104,8 +108,8 @@ def doc_to_pair(doc):
 
 def doc_to_horizontal(doc):
     _require(doc.get("kind") == "horizontal", "expected a horizontal document")
-    _check_rows(doc["A"], "A")
-    _check_rows(doc["b"], "b")
+    _check_rows(doc.get("A"), "A")
+    _check_rows(doc.get("b"), "b")
     _require(len(doc["A"]) == len(doc["b"]), "A and b must have equal length")
     points = [QDanPoint(np.array(a, dtype=float), np.array(b, dtype=float))
               for a, b in zip(doc["A"], doc["b"])]
@@ -117,16 +121,6 @@ def load_document(path):
         doc = json.load(fh)
     _require(isinstance(doc, dict) and "kind" in doc, "document must carry a kind")
     return doc
-
-def parse_document(doc):
-    kind = doc.get("kind")
-    if kind == "spherical":
-        return doc_to_polygon(doc)
-    if kind == "dancing-pair":
-        return doc_to_pair(doc)
-    if kind == "horizontal":
-        return doc_to_horizontal(doc)
-    raise DocumentError("unknown document kind %r" % kind)
 
 
 def dump_document(doc, path=None):

@@ -5,31 +5,23 @@ class DancerollError(Exception):
     """Base class for all library errors."""
 
 
-class GeometryError(DancerollError):
+class NotCollinear(DancerollError):
     pass
 
 
-class NotCollinear(GeometryError):
+class DegenerateQuadruple(DancerollError):
     pass
 
 
-class DegenerateQuadruple(GeometryError):
+class NonUnitAxis(DancerollError):
     pass
 
 
-class NonUnitAxis(GeometryError):
+class NotNull(DancerollError):
     pass
 
 
-class AlgebraError(DancerollError):
-    pass
-
-
-class NotNull(AlgebraError):
-    pass
-
-
-class ZeroOctonion(AlgebraError):
+class ZeroOctonion(DancerollError):
     pass
 
 
@@ -37,19 +29,7 @@ class DancingError(DancerollError):
     pass
 
 
-class IdenticalPoints(DancingError):
-    pass
-
-
 class NotInscribed(DancingError):
-    pass
-
-
-class DegenerateDecomposition(DancingError):
-    pass
-
-
-class ScaleUndefined(DancingError):
     pass
 
 
@@ -65,65 +45,41 @@ class DegenerateConfiguration(DancingError):
     pass
 
 
-class SamplingExhausted(DancingError):
+class DegenerateEdge(DancerollError):
     pass
 
 
-class RollingError(DancerollError):
+class ParameterOutOfRange(DancerollError):
     pass
 
 
-class DegenerateEdge(RollingError):
+class NotTangent(DancerollError):
     pass
 
 
-class ParameterOutOfRange(RollingError):
+class IdenticalClasses(DancerollError):
     pass
 
 
-class NotTangent(RollingError):
+class NotOnCone(DancerollError):
     pass
 
 
-class IdenticalClasses(RollingError):
+class DegenerateRay(DancerollError):
     pass
 
 
-class BridgeError(DancerollError):
+class NontrivialMonodromy(DancerollError):
     pass
 
 
-class NotOnCone(BridgeError):
+class NonGeneric(DancerollError):
     pass
 
 
-class DegenerateRay(BridgeError):
-    pass
-
-
-class NontrivialMonodromy(BridgeError):
-    pass
-
-
-class NonGeneric(BridgeError):
-    pass
-
-
-class InternalInconsistency(BridgeError):
-    pass
-
-
-class SymmetryError(DancerollError):
-    pass
-
-
-class NotSymmetricTraceless(SymmetryError):
+class NotSymmetricTraceless(DancerollError):
     pass
 
 
 class ChartSingularity(DancerollError):
-    pass
-
-
-class SolveFailure(DancerollError):
     pass

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ChartSingularity, DegenerateEdge, SolveFailure
+from .errors import ChartSingularity, DegenerateEdge
 from .geom import (
     QUAT_ONE,
     as_vec3,
@@ -138,7 +138,7 @@ def solve_euler_rates(beta, gamma, v, vdot, rho=3.0):
            - a2 * (b1 * c3 - b3 * c1)
            + a3 * (b1 * c2 - b2 * c1))
     if abs(det) < 1e-12:
-        raise SolveFailure("rate system singular (chart too close to beta = pi/2?)")
+        raise ChartSingularity("rate system singular (chart too close to beta = pi/2?)")
     da = (d1 * (b2 * c3 - b3 * c2)
           - a2 * (d2 * c3 - b3 * d3)
           + a3 * (d2 * c2 - b2 * d3))

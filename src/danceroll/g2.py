@@ -52,9 +52,6 @@ class G2Param:
         return G2Param(t * self.T, t * self.Q, t * self.p)
 
 
-G2_ZERO = G2Param(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
-
-
 def rho_apply(g, z):
     """Action of the derivation parametrized by g on an imaginary octonion."""
     x, A, b = z.x, z.A, z.b

@@ -6,6 +6,8 @@ lines by nonzero "row" covectors.  Quaternions are arrays [s, x, y, z]
 with scalar part first.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateQuadruple, NonUnitAxis, NotCollinear
@@ -20,6 +22,17 @@ def as_vec3(x):
     return v
 
 
+def _cross(a, b):
+    """Cross product of two 3-sequences of Python floats, as a tuple."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def vec_cross(a1, a2):
     """Cross product of two column vectors, read as a covector.
 
@@ -27,13 +40,13 @@ def vec_cross(a1, a2):
     projective points [a1], [a2] in homogeneous coordinates.  Zero output
     for parallel inputs is allowed.
     """
-    return np.cross(as_vec3(a1), as_vec3(a2))
+    return np.array(_cross(as_vec3(a1).tolist(), as_vec3(a2).tolist()))
 
 
 def covec_cross(b1, b2):
     """Dual cross product: two row covectors give the column vector
     vol*(b1, b2, .), i.e. the intersection point of the lines [b1], [b2]."""
-    return np.cross(as_vec3(b1), as_vec3(b2))
+    return np.array(_cross(as_vec3(b1).tolist(), as_vec3(b2).tolist()))
 
 
 def normalize_rep(v, tol=TOL):
@@ -59,53 +72,59 @@ def proj_distance(v, w):
     return min(np.linalg.norm(a - b), np.linalg.norm(a + b))
 
 
+def _line_coords(p1, p2, points, tol):
+    """Coordinates (alpha, beta) with p = alpha p1 + beta p2 of each point p
+    on the line through the unit representatives p1, p2 (Python floats).
+
+    With n = p1 x p2 and the bracket [x, y] = (x x y) . n,
+
+        alpha = [p, p2] / [p1, p2],   beta = [p1, p] / [p1, p2],
+
+    where [p1, p2] = |n|^2.  A point counts as collinear with p1, p2 when the
+    determinant |p . n| / |n| is at most 1e-6.
+    """
+    n = _cross(p1, p2)
+    nn = _dot(n, n)
+    norm = math.sqrt(nn)
+    if norm <= tol:
+        raise DegenerateQuadruple("first two points coincide projectively")
+    coords = []
+    for p in points:
+        off = abs(_dot(p, n)) / norm
+        if off > 1e-6:
+            raise NotCollinear("points are not collinear: det = %g" % off)
+        coords.append((_dot(_cross(p, p2), n) / nn, _dot(_cross(p1, p), n) / nn))
+    return coords
+
+
 def cross_ratio(p1, p2, p3, p4, tol=TOL):
     """Cross-ratio of four collinear projective points.
 
-    Computed by expressing p3 = p1' + p2', p4 = k*p1' + p2' in a basis of
-    the common 2-dimensional subspace and returning k.  The basis of the
-    plane is taken from an SVD of the stacked representatives, which keeps
-    the coefficient solves well conditioned.
+    Writing p3 = alpha p1 + beta p2 and p4 = gamma p1 + delta p2 (see
+    _line_coords), the rescaled p1' = alpha p1, p2' = beta p2 give
+    p3 = p1' + p2' and p4 = k p1' + (delta / beta) p2' with
+    k = gamma beta / (alpha delta), the value returned.
     """
-    ps = [normalize_rep(p, tol) for p in (p1, p2, p3, p4)]
-    stack = np.array(ps)
-    u, s, vt = np.linalg.svd(stack)
-    if s[1] <= tol * s[0]:
-        raise DegenerateQuadruple("points do not span a plane")
-    if len(s) > 2 and s[2] > 1e-6 * s[0]:
-        raise NotCollinear("four points are not collinear: s2/s0 = %g" % (s[2] / s[0]))
-    basis = vt[:2]  # rows span the 2-dim subspace
-    c = stack @ basis.T  # 4 x 2 plane coordinates
-    m = np.column_stack([c[0], c[1]])
-    det = np.linalg.det(m)
-    if abs(det) <= tol:
-        raise DegenerateQuadruple("first two points coincide projectively")
-    alpha, beta = np.linalg.solve(m, c[2])
+    q1, q2, q3, q4 = [normalize_rep(p, tol).tolist() for p in (p1, p2, p3, p4)]
+    (alpha, beta), (gamma, delta) = _line_coords(q1, q2, (q3, q4), tol)
     if abs(alpha) <= tol or abs(beta) <= tol:
         raise DegenerateQuadruple("third point proportional to one of the first two")
-    k4, m4 = np.linalg.solve(np.column_stack([alpha * c[0], beta * c[1]]), c[3])
-    if abs(m4) <= tol:
+    if abs(delta) <= tol * abs(beta):
         raise DegenerateQuadruple("fourth point proportional to the first")
-    return k4 / m4
+    return gamma * beta / (alpha * delta)
 
 
 def fourth_point_with_cross_ratio(p1, p2, p3, k, tol=TOL):
     """The unique point p4 on the line p1p2 with cross_ratio(p1,p2,p3,p4) = k.
 
-    Uses the same normal form as cross_ratio, run backwards: rescale
-    representatives so p3 = p1' + p2', then p4 = k*p1' + p2'.
+    Uses the same normal form as cross_ratio, run backwards: with
+    p3 = alpha p1 + beta p2, the point is p4 = k alpha p1 + beta p2.
     """
-    ps = [normalize_rep(p, tol) for p in (p1, p2, p3)]
-    stack = np.array(ps)
-    u, s, vt = np.linalg.svd(stack)
-    if s[1] <= tol * s[0] or s[2] > 1e-6 * s[0]:
-        raise DegenerateQuadruple("three base points not in general position on a line")
-    basis = vt[:2]
-    c = stack @ basis.T
-    alpha, beta = np.linalg.solve(np.column_stack([c[0], c[1]]), c[2])
+    q1, q2, q3 = [normalize_rep(p, tol) for p in (p1, p2, p3)]
+    ((alpha, beta),) = _line_coords(q1.tolist(), q2.tolist(), (q3.tolist(),), tol)
     if abs(alpha) <= tol or abs(beta) <= tol:
         raise DegenerateQuadruple("third point proportional to one of the first two")
-    return k * alpha * ps[0] + beta * ps[1]
+    return k * alpha * q1 + beta * q2
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +155,6 @@ def quat_mul(p, q):
 def quat_conj(q):
     q = np.asarray(q, dtype=float)
     return quat(q[0], -q[1:])
-
-
-def quat_norm(q):
-    return np.linalg.norm(q)
 
 
 def quat_exp(u, t, tol=TOL):

@@ -154,20 +154,15 @@ def annihilator_basis(z, tol=TOL):
     return [im_from_components(k) for k in kernel]
 
 
-def omega_eval(z, dz):
-    """The octonion-valued 1-form z dz evaluated on a displacement dz.
-
-    At a null point z, a direction dz is horizontal for the null-quadric
-    distribution iff the imaginary part of z dz lies in the radial span
-    of z (the form vanishes on radial directions and descends to the
-    projectivized cone).
-    """
-    return oct_mul(z, dz)
-
-
 def omega_horizontality_residual(z, dz):
-    """Norm of Im(z dz) modulo span{z}, normalized by |z| |dz|."""
-    w = omega_eval(z, dz)
+    """Norm of Im(z dz) modulo span{z}, normalized by |z| |dz|.
+
+    z dz is the octonion-valued 1-form omega evaluated on dz.  At a null
+    point z, a direction dz is horizontal for the null-quadric distribution
+    iff the imaginary part of z dz lies in the radial span of z (the form
+    vanishes on radial directions and descends to the projectivized cone).
+    """
+    w = oct_mul(z, dz)
     im = ImOctonion(0.5 * (w.x - w.y), w.A, w.b)
     zc = z.components()
     ic = im.components()

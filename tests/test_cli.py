@@ -255,6 +255,51 @@ class TestVerify:
         res = runner.invoke(main, ["verify", path])
         assert res.exit_code == 1
 
+    def test_repeated_vertex_is_degenerate(self, runner, tmp_path):
+        doc = {"kind": "dancing-pair", "closed": True,
+               "A": [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               "b": [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}
+        res = runner.invoke(main, ["verify", write(tmp_path, "rep.json", doc)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "edge 0: degenerate (" in res.output
+
+
+class TestMalformedDocuments:
+    """A malformed document ends a command with one line and exit code 1."""
+
+    def roll_with_third_vertex(self, runner, tmp_path, vertex):
+        doc = dict(octant_doc(), vertices=[[1, 0, 0], [0, 1, 0], vertex])
+        return self.roll_error(runner, write(tmp_path, "bad.json", doc))
+
+    def roll_error(self, runner, path):
+        res = runner.invoke(main, ["roll", path])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        return lines[0]
+
+    def test_nan_coordinate(self, runner, tmp_path):
+        line = self.roll_with_third_vertex(runner, tmp_path, [0, 0, float("nan")])
+        assert "finite" in line
+
+    def test_boolean_coordinate(self, runner, tmp_path):
+        self.roll_with_third_vertex(runner, tmp_path, [0, 0, True])
+
+    def test_non_unit_vertex(self, runner, tmp_path):
+        line = self.roll_with_third_vertex(runner, tmp_path, [0, 0, 2])
+        assert "unit" in line
+
+    def test_zero_vertex(self, runner, tmp_path):
+        line = self.roll_with_third_vertex(runner, tmp_path, [0, 0, 0])
+        assert "nonzero" in line
+
+    def test_bad_json(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "spherical"')
+        self.roll_error(runner, str(path))
+
 
 class TestSvg:
     def test_render_contains_elements(self):

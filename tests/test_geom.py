@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from danceroll import geom
@@ -33,6 +33,24 @@ class TestCrossRatio:
         pts = [embed(x) for x in xs]
         assert geom.cross_ratio(*pts) == pytest.approx(
             affine_cross_ratio(x1, x2, x3, x4), rel=1e-8)
+
+    @given(st.lists(st.floats(-1, 1), min_size=6, max_size=6),
+           st.lists(st.floats(-20, 20), min_size=4, max_size=4, unique=True),
+           st.lists(st.floats(0.5, 3), min_size=4, max_size=4),
+           st.lists(st.booleans(), min_size=4, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_affine_oracle_on_random_lines(self, basis, ts, scales, flips):
+        # p = t u + w is the point with affine coordinate t on the line
+        # spanned by u and w; each point then gets a random signed scale
+        u, w = np.array(basis[:3]), np.array(basis[3:])
+        assume(min(np.linalg.norm(u), np.linalg.norm(w)) > 0.3)
+        assume(np.linalg.norm(np.cross(u, w)) > 0.1 * np.linalg.norm(u) * np.linalg.norm(w))
+        t1, t2, t3, t4 = ts
+        assume(min(abs(t1 - t4), abs(t2 - t3), abs(t1 - t2), abs(t3 - t4),
+                   abs(t1 - t3), abs(t2 - t4)) >= 1e-3)
+        pts = [(-c if f else c) * (t * u + w) for t, c, f in zip(ts, scales, flips)]
+        assert geom.cross_ratio(*pts) == pytest.approx(
+            affine_cross_ratio(t1, t2, t3, t4), rel=1e-8)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -74,6 +92,11 @@ class TestCrossRatio:
             p4 = geom.fourth_point_with_cross_ratio(p1, p2, p3, k)
             assert geom.cross_ratio(p1, p2, p3, p4) == pytest.approx(k, rel=1e-8)
 
+    def test_fourth_point_needs_collinear_base(self):
+        with pytest.raises(NotCollinear):
+            geom.fourth_point_with_cross_ratio(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
+                                               np.array([0, 0, 1.0]), 2.0)
+
 
 class TestProjective:
     def test_normalize_rep_canonical(self):
@@ -102,7 +125,7 @@ class TestQuaternions:
     @given(UNIT_QUATS, UNIT_QUATS)
     @settings(max_examples=60, deadline=None)
     def test_multiplicative_norm(self, p, q):
-        assert geom.quat_norm(geom.quat_mul(p, q)) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(geom.quat_mul(p, q)) == pytest.approx(1.0, abs=1e-10)
 
     @given(UNIT_QUATS, UNIT_QUATS)
     @settings(max_examples=60, deadline=None)
