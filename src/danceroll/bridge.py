@@ -250,11 +250,11 @@ def pipeline_inverse(pair, monodromy_tol=1e-8):
     ray is read as a rolling state.  Those states are s r for the pair's
     `chart` r (see pipeline_forward), so each is multiplied on the right by
     conj(r) to give back the states s.  ClosureFailure is raised
-    when the recovered states fail to be connected by the rolling edge
-    factors or the recovered monodromy is not trivial.
+    for an open pair, and when the recovered states fail to be connected
+    by the rolling edge factors or the recovered monodromy is not trivial.
     """
     if not pair.closed:
-        raise ValueError("inverse transport needs a closed pair")
+        raise ClosureFailure("inverse transport needs a closed pair")
     poly = lift_dancing_pair(pair)
     states = [phi_inv(iota(p)) for p in poly.points]
     unchart = quat_conj(pair.chart)

@@ -49,13 +49,17 @@ def _fmt_quat(q):
     return "[% .12f % .12f % .12f % .12f]" % tuple(q)
 
 
-def _load(path, convert):
-    """convert(document at path); a malformed document ends the command
-    with a one-line error and exit code 1."""
+def _checked(fn, *args):
+    """fn(*args); a ValueError (a malformed document or option value) ends
+    the command with a one-line error and exit code 1."""
     try:
-        return convert(docio.load_document(path))
+        return fn(*args)
     except ValueError as exc:
         raise click.ClickException(str(exc))
+
+
+def _load(path, convert):
+    return _checked(lambda: convert(docio.load_document(path)))
 
 
 def _exit_on_failure(exc):
@@ -137,7 +141,7 @@ def cmd_roll(polygon_file, rho, method, verify, steps, tol):
     """Rolling monodromy of a closed spherical polygon."""
     poly = _load(polygon_file, docio.doc_to_polygon)
     if rho is not None:
-        poly.rho = rho
+        poly.rho = _checked(docio.check_rho, rho)
     det_margin, sine_margin = poly.nondegeneracy_margin()
     if sine_margin <= 1e-9:
         click.echo("degenerate polygon: an edge has parallel endpoints", err=True)
@@ -145,7 +149,7 @@ def cmd_roll(polygon_file, rho, method, verify, steps, tol):
     report = rolling.polygon_monodromy(poly)
     g_ode = None
     if method == "ode" or verify:
-        _, g_ode = eulerroll.integrate_polygon(poly, steps_per_edge=steps)
+        _, g_ode = _checked(eulerroll.integrate_polygon, poly, steps)
     g = g_ode if method == "ode" else report.g
     click.echo("monodromy (%s) = %s" % (method, _fmt_quat(g)))
     click.echo("trivial: %s   projectively trivial: %s"
@@ -177,7 +181,7 @@ def cmd_dance(polygon_file, q_text, out, svg_path, chart, tol):
     Exits 2 on nontrivial monodromy, 4 on a non-generic configuration and
     5 when the transported pair fails the dancing condition."""
     poly = _load(polygon_file, docio.doc_to_polygon)
-    q = docio.parse_quaternion(q_text)
+    q = _checked(docio.parse_quaternion, q_text)
     try:
         pair = bridge.pipeline_forward(poly.vertices, q, monodromy_tol=tol)
     except tuple(EXIT_CODES) as exc:

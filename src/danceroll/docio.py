@@ -82,12 +82,18 @@ def _check_rows(rows, name):
                  "%s entries must be nonzero 3-vectors of finite numbers" % name)
 
 
+def check_rho(rho):
+    """The radius ratio of the fixed to the rolling sphere: a finite number > 0."""
+    _require(_is_number(rho) and rho > 0, "rho must be a finite number > 0, got %r" % (rho,))
+    return float(rho)
+
+
 def doc_to_polygon(doc):
     _require(doc.get("kind") == "spherical", "expected a spherical document")
     _check_rows(doc.get("vertices"), "vertices")
     return SphericalPolygon([np.array(v, dtype=float) for v in doc["vertices"]],
                             closed=bool(doc.get("closed", True)),
-                            rho=float(doc.get("rho", 3.0)))
+                            rho=check_rho(doc.get("rho", 3.0)))
 
 
 def doc_to_pair(doc):
@@ -134,13 +140,14 @@ def dump_document(doc, path=None):
 
 def parse_quaternion(text):
     """Parse 's,x,y,z'; normalizes, warning when the input is far from unit."""
-    parts = [float(p) for p in str(text).split(",")]
-    if len(parts) != 4:
-        raise DocumentError("quaternion must be four comma-separated reals s,x,y,z")
-    q = np.array(parts, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
-        raise DocumentError("zero quaternion")
+    msg = "quaternion must be four comma-separated finite reals s,x,y,z, got %r" % (text,)
+    try:
+        q = np.array([float(p) for p in str(text).split(",")])
+    except ValueError:
+        raise DocumentError(msg) from None
+    _require(q.shape == (4,) and np.isfinite(q).all(), msg)
+    n = math.hypot(*q)
+    _require(0.0 < n < math.inf, "quaternion norm must be nonzero and finite")
     if abs(n - 1.0) > QUAT_NORM_WARN:
         warnings.warn("quaternion normalized from |q| = %.9g" % n)
     return q / n

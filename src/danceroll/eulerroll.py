@@ -6,9 +6,12 @@ no-slip and no-twist constraints
 
     (1 + rho) vdot = omega x v,        omega . v = 0,
 
-with omega the space-frame angular velocity of g, determine the Euler-angle
-rates along any contact curve; integrating them around a polygon must
-reproduce the quaternion monodromy computed algebraically edge by edge.
+with omega the space-frame angular velocity of g, force
+omega = (1 + rho) v x vdot for a unit contact point v.  The Euler-angle
+rates are then M^-1 omega, with M the rate-to-omega matrix, in closed form.
+The integrator reads omega from the sampled contact curve at every RK4
+stage; integrating around a polygon must reproduce the quaternion
+monodromy computed algebraically edge by edge.
 
 The chart is singular at beta = +-pi/2 (the rate-to-omega matrix has
 determinant cos beta) and the spherical chart at sin theta = 0.  The
@@ -94,61 +97,30 @@ def droll_constraint_residuals(state, rates, rho=3.0, sin_theta_floor=1e-6):
 
 
 def solve_euler_rates(beta, gamma, v, vdot, rho=3.0):
-    """Euler-angle rates satisfying the constraints at a given contact
-    point/velocity.
+    """Euler-angle rates satisfying the constraints at a unit contact point v
+    moving with tangent velocity vdot.
 
-    The no-slip equation -[v]x M r = (1+rho) vdot has rank 2; the component
-    with the largest |v_i| is dropped and replaced by the no-twist row
-    v^T M r = 0, and the resulting 3x3 system is solved by Cramer's rule.
+    No slip and no twist force the angular velocity omega = (1+rho) v x vdot:
+    then omega x v = (1+rho) vdot and omega . v = 0.  The rates are M^-1 omega
+    for the rate-to-omega matrix M, in closed form (det M = cos beta).
     """
-    cb, sb = math.cos(beta), math.sin(beta)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    # columns of M
-    m11, m21, m31 = cb * cg, cb * sg, -sb
-    m12, m22, m32 = -sg, cg, 0.0
     v1, v2, v3 = v
+    d1, d2, d3 = vdot
     c = 1.0 + rho
-    # rows of [v]x M (third column of M is e3, so [v]x e3 = (v2, -v1, 0))
-    r11 = -v3 * m21 + v2 * m31
-    r12 = -v3 * m22 + v2 * m32
-    r13 = v2
-    r21 = v3 * m11 - v1 * m31
-    r22 = v3 * m12 - v1 * m32
-    r23 = -v1
-    r31 = -v2 * m11 + v1 * m21
-    r32 = -v2 * m12 + v1 * m22
-    r33 = 0.0
-    rows = ((r11, r12, r13, -c * vdot[0]),
-            (r21, r22, r23, -c * vdot[1]),
-            (r31, r32, r33, -c * vdot[2]))
-    a1 = v1 * m11 + v2 * m21 + v3 * m31
-    a2 = v1 * m12 + v2 * m22 + v3 * m32
-    a3 = v3
-    d1 = 0.0
-    # drop the row of the largest |v_i|, the first one on ties
-    w1, w2, w3 = abs(v1), abs(v2), abs(v3)
-    if w1 >= w2 and w1 >= w3:
-        kept = rows[1], rows[2]
-    elif w2 >= w3:
-        kept = rows[0], rows[2]
-    else:
-        kept = rows[0], rows[1]
-    (b1, b2, b3, d2), (c1, c2, c3, d3) = kept
-    det = (a1 * (b2 * c3 - b3 * c2)
-           - a2 * (b1 * c3 - b3 * c1)
-           + a3 * (b1 * c2 - b2 * c1))
-    if abs(det) < 1e-12:
+    return _rates_from_omega(beta, gamma, (c * (v2 * d3 - v3 * d2),
+                                           c * (v3 * d1 - v1 * d3),
+                                           c * (v1 * d2 - v2 * d1)))
+
+
+def _rates_from_omega(beta, gamma, w):
+    """(alphadot, betadot, gammadot) = M(beta, gamma)^-1 w on Python floats."""
+    cb = math.cos(beta)
+    if abs(cb) < 1e-12:
         raise ChartSingularity("rate system singular (chart too close to beta = pi/2?)")
-    da = (d1 * (b2 * c3 - b3 * c2)
-          - a2 * (d2 * c3 - b3 * d3)
-          + a3 * (d2 * c2 - b2 * d3))
-    db = (a1 * (d2 * c3 - b3 * d3)
-          - d1 * (b1 * c3 - b3 * c1)
-          + a3 * (b1 * d3 - d2 * c1))
-    dc = (a1 * (b2 * d3 - d2 * c2)
-          - a2 * (b1 * d3 - d2 * c1)
-          + d1 * (b1 * c2 - b2 * c1))
-    return da / det, db / det, dc / det
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    w1, w2, w3 = w
+    alphadot = (cg * w1 + sg * w2) / cb
+    return alphadot, cg * w2 - sg * w1, w3 + math.sin(beta) * alphadot
 
 
 def _rotation_taking(n, n0):
@@ -186,6 +158,8 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
     back at the end.  `record`, if a list, receives (t, state, rates)
     samples in the original frame's spherical chart for diagnostics.
     """
+    if steps < 1:
+        raise ValueError("steps must be at least 1, got %r" % (steps,))
     v_start = as_vec3(v_start)
     normal = as_vec3(normal)
     if abs(float(normal @ v_start)) > 1e-9:
@@ -196,56 +170,52 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
     eb = np.cross(n0, ea)
 
     h = angle / steps
-    # contact point and velocity at half-step resolution, precomputed
+    # contact point and velocity at half-step resolution, and the angular
+    # velocity that no slip and no twist force there, as Python lists so the
+    # inner loop does float arithmetic, not numpy scalars
     ts = np.arange(2 * steps + 1) * (0.5 * h)
     cs, ss = np.cos(ts), np.sin(ts)
-    # Python lists, so the inner loop does float arithmetic, not numpy scalars
-    vs = (np.outer(cs, ea) + np.outer(ss, eb)).tolist()
-    vds = (np.outer(-ss, ea) + np.outer(cs, eb)).tolist()
+    vs = np.outer(cs, ea) + np.outer(ss, eb)
+    vds = np.outer(-ss, ea) + np.outer(cs, eb)
+    ws = ((1.0 + rho) * np.cross(vs, vds)).tolist()
 
-    y = [0.0, 0.0, 0.0]
+    a, b, g = 0.0, 0.0, 0.0
     R_off = np.eye(3)
     q_prev = QUAT_ONE.copy()
     sample_every = max(1, steps // max(8, int(abs(angle) * (rho + 1.0) / 0.5) + 1))
-
-    def rhs(k, state):
-        v = vs[k]
-        vd = vds[k]
-        return solve_euler_rates(state[1], state[2], v, vd, rho)
+    hh, h6 = 0.5 * h, h / 6.0
 
     for k in range(steps):
-        i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
-        k1 = rhs(i0, y)
-        y2 = [y[j] + 0.5 * h * k1[j] for j in range(3)]
-        k2 = rhs(i1, y2)
-        y3 = [y[j] + 0.5 * h * k2[j] for j in range(3)]
-        k3 = rhs(i1, y3)
-        y4 = [y[j] + h * k3[j] for j in range(3)]
-        k4 = rhs(i2, y4)
-        y = [y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-             for j in range(3)]
-        if abs(math.cos(y[1])) < RESEAT_COS_BETA:
-            R_off = euler_to_rotation(*y) @ R_off
-            y = [0.0, 0.0, 0.0]
+        w_mid = ws[2 * k + 1]
+        a1, b1, g1 = _rates_from_omega(b, g, ws[2 * k])
+        a2, b2, g2 = _rates_from_omega(b + hh * b1, g + hh * g1, w_mid)
+        a3, b3, g3 = _rates_from_omega(b + hh * b2, g + hh * g2, w_mid)
+        a4, b4, g4 = _rates_from_omega(b + h * b3, g + h * g3, ws[2 * k + 2])
+        a += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        b += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        g += h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        if abs(math.cos(b)) < RESEAT_COS_BETA:
+            R_off = euler_to_rotation(a, b, g) @ R_off
+            a, b, g = 0.0, 0.0, 0.0
             q_prev = _continue_quat(R_off, q_prev)
         elif (k + 1) % sample_every == 0:
-            q_prev = _continue_quat(euler_to_rotation(*y) @ R_off, q_prev)
+            q_prev = _continue_quat(euler_to_rotation(a, b, g) @ R_off, q_prev)
         if record is not None:
-            v = vs[i2]
+            v = vs[2 * k + 2].tolist()
+            vd = vds[2 * k + 2].tolist()
             theta = math.acos(max(-1.0, min(1.0, v[2])))
             phi = math.atan2(v[1], v[0])
-            rates = rhs(i2, y)
-            vd = vds[i2]
+            rates = solve_euler_rates(b, g, v, vd, rho)
             st2 = v[0] * v[0] + v[1] * v[1]
             record.append((
-                ts[i2],
-                (theta, phi, y[0], y[1], y[2]),
+                ts[2 * k + 2],
+                (theta, phi, a, b, g),
                 (-vd[2] / math.sqrt(st2) if st2 > 1e-12 else 0.0,
                  (v[0] * vd[1] - v[1] * vd[0]) / st2 if st2 > 1e-12 else 0.0,
                  rates[0], rates[1], rates[2]),
             ))
 
-    R_total = euler_to_rotation(*y) @ R_off
+    R_total = euler_to_rotation(a, b, g) @ R_off
     q_total = _continue_quat(R_total, q_prev)
     # conjugate back to the original frame
     R = Rc.T @ R_total @ Rc

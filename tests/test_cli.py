@@ -81,6 +81,9 @@ class TestDocio:
         assert np.allclose(q, [1, 0, 0, 0])
         with pytest.raises(docio.DocumentError):
             docio.parse_quaternion("1,2,3")
+        for bad in ("1,x,0,0", "nan,0,0,0", "1,inf,0,0", "0,0,0,0", ""):
+            with pytest.raises(docio.DocumentError):
+                docio.parse_quaternion(bad)
 
 
 class TestSolveRegular:
@@ -146,6 +149,13 @@ class TestRoll:
         assert res.exit_code == 0
         assert "method agreement" in res.output
 
+    def test_verify_disagreement_exits_3(self, runner, tmp_path):
+        path = write(tmp_path, "oct.json", octant_doc())
+        res = runner.invoke(main, ["roll", path, "--verify", "--steps", "2",
+                                   "--tol", "1e-12"])
+        assert res.exit_code == 3
+        assert "methods disagree" in res.output
+
 
 class TestDanceUndance:
     def test_nongeneric_q_exits_4(self, runner, tmp_path):
@@ -191,6 +201,25 @@ class TestDanceUndance:
         assert res.exit_code == 0
         assert runner.invoke(main, ["verify", pair_path]).exit_code == 0
         res = runner.invoke(main, ["undance", pair_path])
+        assert res.exit_code == 5
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("pair does not lift back (ClosureFailure)")
+
+    @pytest.mark.parametrize("q_text", ["1,x,0,0", "nan,0,0,0"])
+    def test_bad_q_is_one_error_line(self, runner, tmp_path, q_text):
+        path = write(tmp_path, "oct2.json", octant_doc(2))
+        res = runner.invoke(main, ["dance", path, "--q", q_text])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+
+    def test_open_pair_exits_5(self, runner, tmp_path):
+        pair = bridge.pipeline_forward([EX, EY, EZ] * 2, [0.5, 0.5, 0.5, 0.5])
+        doc = dict(docio.pair_to_doc(pair), closed=False)
+        res = runner.invoke(main, ["undance", write(tmp_path, "open.json", doc)])
         assert res.exit_code == 5
         assert isinstance(res.exception, SystemExit)  # no traceback
         lines = res.output.strip().splitlines()
@@ -272,8 +301,8 @@ class TestMalformedDocuments:
         doc = dict(octant_doc(), vertices=[[1, 0, 0], [0, 1, 0], vertex])
         return self.roll_error(runner, write(tmp_path, "bad.json", doc))
 
-    def roll_error(self, runner, path):
-        res = runner.invoke(main, ["roll", path])
+    def roll_error(self, runner, path, *options):
+        res = runner.invoke(main, ["roll", path, *options])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # no traceback
         lines = res.output.strip().splitlines()
@@ -299,6 +328,25 @@ class TestMalformedDocuments:
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "spherical"')
         self.roll_error(runner, str(path))
+
+    def hexagon(self, tmp_path, **changes):
+        poly = rolling.regular_polygon(6, 2, rolling.solve_phi(6, 2, 4))
+        return write(tmp_path, "hex.json", dict(docio.polygon_to_doc(poly), **changes))
+
+    @pytest.mark.parametrize("rho", [float("nan"), True, -1.0])
+    def test_bad_document_rho(self, runner, tmp_path, rho):
+        line = self.roll_error(runner, self.hexagon(tmp_path, rho=rho))
+        assert "rho" in line
+
+    def test_nan_rho_option(self, runner, tmp_path):
+        line = self.roll_error(runner, self.hexagon(tmp_path), "--rho", "nan")
+        assert "rho" in line
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_ode_steps_below_one(self, runner, tmp_path, steps):
+        line = self.roll_error(runner, self.hexagon(tmp_path),
+                               "--method", "ode", "--steps", steps)
+        assert "steps" in line
 
 
 class TestSvg:

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import danceroll
 from danceroll import eulerroll as er
 from danceroll import rolling as rl
 from danceroll.errors import ChartSingularity, DegenerateEdge
-from danceroll.geom import quat_distance, quat_to_matrix
+from danceroll.geom import QUAT_ONE, quat_distance, quat_to_matrix
 
 EX, EY, EZ = np.eye(3)
 
@@ -57,6 +61,10 @@ class TestChart:
         with pytest.raises(ChartSingularity):
             er.droll_constraint_residuals((0.0, 0.0, 0.1, 0.2, 0.3),
                                           (0.1, 0, 0, 0, 0))
+
+    def test_rate_solve_singular_at_beta_pi_2(self):
+        with pytest.raises(ChartSingularity):
+            er.solve_euler_rates(math.pi / 2, 0.3, EX, EY)
 
 
 class TestConstraintResiduals:
@@ -141,3 +149,25 @@ class TestIntegration:
             *(q12[0] * q21[1:] + q21[0] * q12[1:] + np.cross(q21[1:], q12[1:]))])
         assert min(np.linalg.norm(prod - np.array([1, 0, 0, 0])),
                    np.linalg.norm(prod + np.array([1, 0, 0, 0]))) <= 1e-8
+
+    def test_admissible_polygons_lift_to_one(self):
+        # every admissible regular polygon up to n = 16 has lifted monodromy
+        # +1; RK4 at 250 steps per edge must reach it within 50 * steps^-4
+        steps = 250
+        for row in rl.enumerate_admissible(16):
+            poly = rl.regular_polygon(row["n"], row["w"], row["phi"])
+            _, q = er.integrate_polygon(poly, steps_per_edge=steps)
+            assert np.linalg.norm(q - QUAT_ONE) <= 50.0 * steps ** -4, row
+
+
+def test_ode_vs_quaternion_script():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(danceroll.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "ode_vs_quaternion.py"),
+         "--edges", "3", "--steps", "400"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "full equator at rho=3.0: lift scalar +1.000000000" in res.stdout
+    assert "full equator at rho=2.0: lift scalar -1.000000000" in res.stdout
