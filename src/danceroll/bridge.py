@@ -11,6 +11,7 @@ and closed polygons transported through them turn trivial lifted rolling
 monodromy into the dancing condition and back.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ from .errors import (
 )
 from .geom import (
     QUAT_ONE,
+    _cross,
+    _dot,
     as_vec3,
     normalize_rep,
     quat,
@@ -97,17 +100,18 @@ def phi_inv(z, tol=1e-9):
     w = (A x b)/2 - x v recover the state.
     """
     _check_null(z)
-    m = float(np.linalg.norm(z.A + z.b))
+    A, b = z.A.tolist(), z.b.tolist()
+    m = math.hypot(*(p + r for p, r in zip(A, b)))
     if m <= 1e-8 * z.norm():
         raise DegenerateRay("ray outside the image of the state chart (A + b = 0)")
-    zz = z.scale(2.0 / m)
-    v = 0.5 * (zz.A + zz.b)
-    s = 0.25 * (float(zz.A @ zz.A) - float(zz.b @ zz.b))
-    w = 0.5 * np.cross(zz.A, zz.b) - zz.x * v
-    q = quat(s, w)
-    if abs(np.linalg.norm(q) - 1.0) > max(tol, 1e-7):
+    k = 2.0 / m
+    A, b, x = [k * c for c in A], [k * c for c in b], k * z.x
+    v = [0.5 * (p + r) for p, r in zip(A, b)]
+    s = 0.25 * (_dot(A, A) - _dot(b, b))
+    w = [0.5 * c - x * vc for c, vc in zip(_cross(A, b), v)]
+    if abs(math.hypot(s, *w) - 1.0) > max(tol, 1e-7):
         raise DegenerateRay("recovered quaternion is not unit")
-    return v, q
+    return np.array(v), quat(s, w)
 
 
 def horizontal_state_directions(v, q, rho=3.0):
@@ -151,9 +155,9 @@ def _class_polygon_checks(classes, det_tol=1e-10):
     n = len(classes)
     if n < 3:
         raise ValueError("need at least three contact classes")
+    rows = [c.tolist() for c in classes]
     for i in range(n):
-        tri = np.array([classes[i], classes[(i + 1) % n], classes[(i + 2) % n]])
-        if abs(np.linalg.det(tri)) <= det_tol:
+        if abs(_dot(_cross(rows[i], rows[(i + 1) % n]), rows[(i + 2) % n])) <= det_tol:
             raise DegenerateConfiguration(
                 "consecutive contact classes nearly on a great circle at %d" % i)
 

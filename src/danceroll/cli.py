@@ -76,6 +76,7 @@ def _exit_on_failure(exc):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def cmd_solve_regular(n, w, wprime, tol, as_json):
     """Solve for the colatitude giving trivial lifted monodromy."""
+    tol = _checked(docio.check_tol, tol)
     try:
         phi = rolling.solve_phi(n, w, wprime)
     except DancerollError as exc:
@@ -139,6 +140,7 @@ def cmd_enumerate(n_max, as_json):
               help="method agreement tolerance with --verify")
 def cmd_roll(polygon_file, rho, method, verify, steps, tol):
     """Rolling monodromy of a closed spherical polygon."""
+    tol = _checked(docio.check_tol, tol)
     poly = _load(polygon_file, docio.doc_to_polygon)
     if rho is not None:
         poly.rho = _checked(docio.check_rho, rho)
@@ -180,6 +182,7 @@ def cmd_dance(polygon_file, q_text, out, svg_path, chart, tol):
 
     Exits 2 on nontrivial monodromy, 4 on a non-generic configuration and
     5 when the transported pair fails the dancing condition."""
+    tol = _checked(docio.check_tol, tol)
     poly = _load(polygon_file, docio.doc_to_polygon)
     q = _checked(docio.parse_quaternion, q_text)
     try:
@@ -209,6 +212,7 @@ def cmd_undance(pair_file, out, tol):
 
     Exits 2 on nontrivial monodromy, 4 on a non-generic configuration and
     5 when the pair does not lift back to a closed horizontal polygon."""
+    tol = _checked(docio.check_tol, tol)
     pair = _load(pair_file, docio.doc_to_pair)
     try:
         lift = bridge.pipeline_inverse(pair, monodromy_tol=tol)
@@ -227,6 +231,7 @@ def cmd_undance(pair_file, out, tol):
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 def cmd_verify(pair_file, tol):
     """Check the dancing condition and genericity of a dancing-pair file."""
+    tol = _checked(docio.check_tol, tol)
     pair = _load(pair_file, docio.doc_to_pair)
     failed = []
     for i in pair.vertex_indices():

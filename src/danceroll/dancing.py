@@ -16,6 +16,7 @@ of collinear quadruples.  Horizontal segments on the quadric are the
 affine lines with b_2 - b_1 = A_1 x A_2.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,9 @@ from .errors import (
 from .geom import (
     QUAT_ONE,
     TOL,
+    _cross,
+    _dot,
+    _unit_rep,
     as_vec3,
     covec_cross,
     cross_ratio,
@@ -42,6 +46,7 @@ from .geom import (
 )
 
 DANCING_TOL = 1e-6  # default acceptance level for the dancing residual
+LIFT_TOL = 1e-8  # largest relative disagreement of consecutive edge lifts
 NONDEG_DET = 1e-10  # non-degeneracy: |det| of consecutive normalized triples
 
 
@@ -174,15 +179,14 @@ def inscribed_residual(pair, i):
 def nondegeneracy_report(pair):
     """Certificates of the genericity assumptions: each A_i off b_i,
     consecutive vertex triples non-collinear, consecutive edge triples
-    non-concurrent.  Returns the three lists of |det|-style margins."""
-    A = [normalize_rep(a) for a in pair.A]
-    b = [normalize_rep(bb) for bb in pair.b]
-    off_edge = [abs(float(bb @ a)) for a, bb in zip(A, b)]
+    non-concurrent.  Returns the three lists of |det| margins, triple
+    products of unit representatives."""
+    A = [_unit_rep(a) for a in pair.A]
+    b = [_unit_rep(bb) for bb in pair.b]
+    off_edge = [abs(_dot(bb, a)) for a, bb in zip(A, b)]
     rng_v = pair.vertex_indices()
-    tri_v = [abs(np.linalg.det(np.array([_wrap(A, i + k) for k in range(3)])))
-             for i in rng_v]
-    tri_b = [abs(np.linalg.det(np.array([_wrap(b, i + k) for k in range(3)])))
-             for i in rng_v]
+    tri_v = [abs(_dot(_cross(A[i], _wrap(A, i + 1)), _wrap(A, i + 2))) for i in rng_v]
+    tri_b = [abs(_dot(_cross(b[i], _wrap(b, i + 1)), _wrap(b, i + 2))) for i in rng_v]
     return off_edge, tri_v, tri_b
 
 
@@ -196,66 +200,46 @@ def is_nondegenerate(pair, det_tol=NONDEG_DET):
 def lift_inscribed_2gon(a1, b1, a2, b2, tol=TOL):
     """The unique horizontal lift of an inscribed 2-gon.
 
-    Representatives are first normalized to b_i A_i = 1; the chord normal
-    A_1 x A_2 decomposes as lam1 b_1 + lam2 b_2 (this is where the
-    inscribed hypothesis enters), and the cube-root rescalings
-    x_1 = cbrt(lam2 / lam1^2), x_2 = -cbrt(lam1 / lam2^2) produce the lift.
+    With unit edges b_i and vertices scaled to b_i A_i = 1, the chord
+    normal A_1 x A_2 lies in the pencil of b_1 and b_2: that is the
+    inscribed hypothesis, tested as |chord . n| / |n| <= 1e-7 max(1, |chord|)
+    with n = b_1 x b_2.  Its coordinates lam1 = [chord, b_2], lam2 =
+    [b_1, chord] in the brackets of geom._line_coords give the lift
+    (x_1 A_1, b_1 / x_1), (x_2 A_2, b_2 / x_2) with x_1 = cbrt(lam2 / lam1^2)
+    and x_2 = -cbrt(lam1 / lam2^2), whatever the representatives' signs.
     """
-    a1 = normalize_rep(a1)
-    a2 = normalize_rep(a2)
-    b1 = normalize_rep(b1)
-    b2 = normalize_rep(b2)
-    if proj_distance(a1, a2) <= tol or proj_distance(b1, b2) <= tol:
+    a1, a2, b1, b2 = (_unit_rep(v) for v in (a1, a2, b1, b2))
+    if math.hypot(*_cross(a1, a2)) <= tol or math.hypot(*_cross(b1, b2)) <= tol:
         raise DegenerateConfiguration("2-gon needs distinct vertices and edges")
-    s1 = float(b1 @ a1)
-    s2 = float(b2 @ a2)
+    s1, s2 = _dot(b1, a1), _dot(b2, a2)
     if abs(s1) <= tol or abs(s2) <= tol:
         raise DegenerateConfiguration("a vertex lies on its own edge")
-    A1, B1 = a1 / s1, b1
-    A2, B2 = a2 / s2, b2
-    chord = np.cross(A1, A2)
-    m = np.column_stack([B1, B2])
-    lam, res, rank, sv = np.linalg.lstsq(m, chord, rcond=None)
-    if np.linalg.norm(m @ lam - chord) > 1e-7 * max(1.0, np.linalg.norm(chord)):
+    A1, A2 = [c / s1 for c in a1], [c / s2 for c in a2]
+    chord = _cross(A1, A2)
+    n = _cross(b1, b2)
+    nn = _dot(n, n)
+    if abs(_dot(chord, n)) / math.sqrt(nn) > 1e-7 * max(1.0, math.hypot(*chord)):
         raise NotInscribed("edge intersection is off the vertex chord")
-    lam1, lam2 = lam
+    lam1 = _dot(_cross(chord, b2), n) / nn
+    lam2 = _dot(_cross(b1, chord), n) / nn
     if abs(lam1) <= tol or abs(lam2) <= tol:
         raise DegenerateConfiguration("chord normal degenerate in the edge pencil")
     x1 = np.cbrt(lam2 / lam1 ** 2)
     x2 = -np.cbrt(lam1 / lam2 ** 2)
-    return QDanPoint(x1 * A1, B1 / x1), QDanPoint(x2 * A2, B2 / x2)
-
-
-def extend_horizontal(prev, a, b, tol=TOL):
-    """Extend a horizontal chain by one vertex.
-
-    Normalizes representatives B of b and A of a with B A = 1, sets
-    x = B . A_prev and returns the lift (x A, B / x) together with the
-    horizontality defect of the new segment.  The defect vanishes exactly
-    when the dancing condition held at the previous vertex.
-    """
-    B = normalize_rep(b)
-    A0 = normalize_rep(a)
-    s = float(B @ A0)
-    if abs(s) <= tol:
-        raise DegenerateConfiguration("new vertex lies on the new edge")
-    A = A0 / s
-    x = float(B @ prev.A)
-    if abs(x) <= tol:
-        raise DegenerateConfiguration("previous vertex lies on the new edge")
-    lifted = QDanPoint(x * A, B / x)
-    return lifted, horizontal_residual(prev, lifted)
+    return (QDanPoint(np.multiply(x1, A1), np.divide(b1, x1)),
+            QDanPoint(np.multiply(x2, A2), np.divide(b2, x2)))
 
 
 def lift_dancing_pair(pair, tol=DANCING_TOL):
     """Lift a dancing pair to the horizontal polygon it projects from.
 
-    The first edge is lifted by the 2-gon solution, every further vertex
-    by extension; each extension's horizontality defect certifies the
-    dancing condition at the preceding vertex.  Closed pairs additionally
-    get two closure certificates: the wrap-around segment must be
-    horizontal and re-extending past the last vertex must reproduce the
-    first lift.
+    Each edge i (cyclically for a closed pair) is lifted on its own by
+    lift_inscribed_2gon, and vertex i is read from edge i's lift (the last
+    vertex of an open chain from the last edge's second point).  Two edge
+    lifts meeting at a vertex agree exactly when the pair dances there; their
+    largest relative disagreement |Q - P| / |(A, b)| is the certificate, and
+    above LIFT_TOL ClosureFailure names its vertex and value.  NotDancing is
+    raised first when a dancing residual exceeds tol.
     """
     n = len(pair)
     if n < 2:
@@ -264,20 +248,17 @@ def lift_dancing_pair(pair, tol=DANCING_TOL):
         r = dancing_residual(pair, i)
         if abs(r) > tol:
             raise NotDancing("dancing residual %.3g at vertex %d" % (r, i))
-    q1, q2 = lift_inscribed_2gon(pair.A[0], pair.b[0], pair.A[1], pair.b[1])
-    points = [q1, q2]
-    for i in range(2, n):
-        nxt, defect = extend_horizontal(points[-1], pair.A[i], pair.b[i])
-        if defect > 1e-5:
-            raise NotDancing("extension defect %.3g at vertex %d" % (defect, i))
-        points.append(nxt)
-    if pair.closed:
-        wrap = horizontal_residual(points[-1], points[0])
-        if wrap > 1e-8:
-            raise ClosureFailure("closing segment defect %.3g" % wrap)
-        redo, defect = extend_horizontal(points[-1], pair.A[0], pair.b[0])
-        if redo.distance(points[0]) > 1e-8 or defect > 1e-8:
-            raise ClosureFailure("first vertex not reproduced on wrap-around")
+    edges = [lift_inscribed_2gon(pair.A[i], pair.b[i], _wrap(pair.A, i + 1),
+                                 _wrap(pair.b, i + 1)) for i in pair.edge_indices()]
+    points = [p for p, _ in edges] + ([] if pair.closed else [edges[-1][1]])
+    first = 0 if pair.closed else 1
+    P = [p.coords().tolist() for p in points]
+    gaps = [math.dist(edges[i - 1][1].coords().tolist(), P[i]) / math.hypot(*P[i])
+            for i in range(first, len(edges))]
+    if gaps and max(gaps) > LIFT_TOL:
+        i = int(np.argmax(gaps))
+        raise ClosureFailure("consecutive edge lifts disagree by %.2g at vertex %d"
+                             % (gaps[i], first + i))
     return HorizontalPolygon(points, closed=pair.closed)
 
 

@@ -88,6 +88,12 @@ def check_rho(rho):
     return float(rho)
 
 
+def check_tol(tol):
+    """A --tol option value: a finite number > 0."""
+    _require(_is_number(tol) and tol > 0, "tol must be a finite number > 0, got %r" % (tol,))
+    return float(tol)
+
+
 def doc_to_polygon(doc):
     _require(doc.get("kind") == "spherical", "expected a spherical document")
     _check_rows(doc.get("vertices"), "vertices")

@@ -33,6 +33,15 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _unit_rep(v, tol=TOL):
+    """v / |v| as a tuple of Python floats; ValueError for a zero vector."""
+    x, y, z = as_vec3(v).tolist()
+    n = math.hypot(x, y, z)
+    if n <= tol:
+        raise ValueError("zero vector has no projective class")
+    return (x / n, y / n, z / n)
+
+
 def vec_cross(a1, a2):
     """Cross product of two column vectors, read as a covector.
 
@@ -52,11 +61,7 @@ def covec_cross(b1, b2):
 def normalize_rep(v, tol=TOL):
     """Canonical representative of a projective point/line: unit norm,
     first nonzero component positive."""
-    v = as_vec3(v)
-    n = np.linalg.norm(v)
-    if n <= tol:
-        raise ValueError("zero vector has no projective class")
-    v = v / n
+    v = np.array(_unit_rep(v, tol))
     for c in v:
         if abs(c) > tol:
             if c < 0:
@@ -101,11 +106,11 @@ def cross_ratio(p1, p2, p3, p4, tol=TOL):
     """Cross-ratio of four collinear projective points.
 
     Writing p3 = alpha p1 + beta p2 and p4 = gamma p1 + delta p2 (see
-    _line_coords), the rescaled p1' = alpha p1, p2' = beta p2 give
-    p3 = p1' + p2' and p4 = k p1' + (delta / beta) p2' with
-    k = gamma beta / (alpha delta), the value returned.
+    _line_coords) for unit p1..p4 (k is even in each point, so no sign is
+    fixed), p1' = alpha p1 and p2' = beta p2 give p3 = p1' + p2' and
+    p4 = k p1' + (delta / beta) p2' with k = gamma beta / (alpha delta).
     """
-    q1, q2, q3, q4 = [normalize_rep(p, tol).tolist() for p in (p1, p2, p3, p4)]
+    q1, q2, q3, q4 = [_unit_rep(p, tol) for p in (p1, p2, p3, p4)]
     (alpha, beta), (gamma, delta) = _line_coords(q1, q2, (q3, q4), tol)
     if abs(alpha) <= tol or abs(beta) <= tol:
         raise DegenerateQuadruple("third point proportional to one of the first two")

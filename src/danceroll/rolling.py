@@ -23,8 +23,10 @@ from .errors import (
 from .geom import (
     QUAT_ONE,
     TOL,
+    _cross,
+    _dot,
+    _unit_rep,
     as_vec3,
-    normalize_rep,
     quat,
     quat_conj,
     quat_distance,
@@ -241,12 +243,16 @@ def droll_membership(v, g, vdot, gdot, rho=3.0, tol=1e-8):
 
 
 def projective_edge_monodromy(p1, p2, rho=3.0, tol=TOL):
-    """Edge monodromy for a pair of antipodal classes; only defined at
-    ratio 3, where the four representative/arc choices agree."""
+    """Edge monodromy exp(2 delta u) for a pair of antipodal classes, only
+    defined at ratio 3.  With d = v1 . v2 = cos delta and c = v1 x v2 =
+    sin(delta) u for unit representatives it is (d^2 - |c|^2, 2 d c), even in
+    each endpoint (flipping v1 or v2 negates d and c), so the four choices
+    agree; dividing by d^2 + |c|^2 = 1 keeps rounding from drifting off S^3."""
     if rho != 3.0:
         raise ParameterOutOfRange("projective edge monodromy needs ratio 3")
-    v1 = normalize_rep(p1)
-    v2 = normalize_rep(p2)
-    if min(np.linalg.norm(v1 - v2), np.linalg.norm(v1 + v2)) <= tol:
+    v1, v2 = _unit_rep(p1), _unit_rep(p2)
+    d, c = _dot(v1, v2), _cross(v1, v2)
+    dd, cc = d * d, _dot(c, c)
+    if cc <= tol * tol:
         raise IdenticalClasses("classes coincide")
-    return edge_monodromy(v1, v2, 3.0)
+    return quat(dd - cc, [2.0 * d * x for x in c]) / (dd + cc)

@@ -3,6 +3,7 @@ import pytest
 
 from danceroll import bridge, dancing, rolling
 from danceroll.errors import (
+    ClosureFailure,
     DegenerateRay,
     NonGeneric,
     NontrivialMonodromy,
@@ -26,6 +27,14 @@ def rand_state(rng):
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     return v, q
+
+
+def panel_draw(k):
+    """The k-th draw of default_rng(0).standard_normal(4), normalised."""
+    rng = np.random.default_rng(0)
+    for _ in range(k):
+        q = rng.standard_normal(4)
+    return q / np.linalg.norm(q)
 
 
 class TestCharts:
@@ -252,3 +261,42 @@ class TestChartScore:
             assert chosen >= direct.min(axis=0).max() - 1e-12
             lift = bridge.pipeline_inverse(pair)
             assert quat_distance(lift.start_quaternion, QUAT_ONE) <= 1e-8
+
+
+class TestFamilyRoundTrip:
+    def polygons(self):
+        for row in rolling.enumerate_admissible(16):
+            yield rolling.regular_polygon(row["n"], row["w"], row["phi"]).vertices
+        yield [EX, EY, EZ] * 2
+
+    def starts(self):
+        rng = np.random.default_rng(8)
+        yield QUAT_ONE
+        for _ in range(2):
+            q = rng.standard_normal(4)
+            yield q / np.linalg.norm(q)
+
+    def test_roundtrip_recovers_or_refuses(self):
+        # the per-edge lift either gives the start and the classes back or
+        # raises ClosureFailure; it never returns a worse result silently
+        for classes in self.polygons():
+            for q in self.starts():
+                pair = bridge.pipeline_forward(classes, q)
+                try:
+                    lift = bridge.pipeline_inverse(pair)
+                except ClosureFailure:
+                    continue
+                s = lift.start_quaternion
+                assert min(quat_distance(s, q), quat_distance(s, -q)) <= 1e-8
+                for c, v in zip(lift.classes, classes):
+                    assert proj_distance(c, v) <= 1e-8
+
+    @pytest.mark.parametrize("triple, q", [((6, 2, 4), panel_draw(24)),
+                                           ((11, 4, 8), np.full(4, 0.5)),
+                                           ((15, 4, 8), panel_draw(136))])
+    def test_pairs_the_chained_lift_refused(self, triple, q):
+        # thin non-degeneracy margins; chaining one vertex onto the next
+        # drifted past the old fixed closure thresholds on each
+        poly = rolling.regular_polygon(*triple[:2], rolling.solve_phi(*triple))
+        lift = bridge.pipeline_inverse(bridge.pipeline_forward(poly.vertices, q))
+        assert quat_distance(lift.start_quaternion, q) <= 1e-9

@@ -192,12 +192,13 @@ class TestDanceUndance:
 
     def test_pair_that_does_not_lift_back_exits_5(self, runner, tmp_path):
         # dance writes this pair and verify passes it, but its non-degeneracy
-        # margin (6e-6) is too thin for the lift's closure thresholds
-        poly = rolling.regular_polygon(11, 4, rolling.solve_phi(11, 4, 8))
+        # margin (2.9e-9) is so thin that consecutive edge lifts disagree by
+        # 2.9e-8, above the lift's LIFT_TOL
+        poly = rolling.regular_polygon(11, 2, rolling.solve_phi(11, 2, 4))
         path = write(tmp_path, "p.json", docio.polygon_to_doc(poly))
         pair_path = str(tmp_path / "pair.json")
-        res = runner.invoke(main, ["dance", path, "--q", "0.5,0.5,0.5,0.5",
-                                   "--out", pair_path])
+        q_text = "-0.38976613221608436,-0.5351607267870846,0.7326618879846806,-0.15777172299482783"
+        res = runner.invoke(main, ["dance", path, "--q", q_text, "--out", pair_path])
         assert res.exit_code == 0
         assert runner.invoke(main, ["verify", pair_path]).exit_code == 0
         res = runner.invoke(main, ["undance", pair_path])
@@ -341,6 +342,21 @@ class TestMalformedDocuments:
     def test_nan_rho_option(self, runner, tmp_path):
         line = self.roll_error(runner, self.hexagon(tmp_path), "--rho", "nan")
         assert "rho" in line
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_on_every_command(self, runner, tmp_path, tol):
+        poly_path = write(tmp_path, "oct2.json", octant_doc(2))
+        pair = bridge.pipeline_forward([EX, EY, EZ] * 2, [0.5, 0.5, 0.5, 0.5])
+        pair_path = write(tmp_path, "pair.json", docio.pair_to_doc(pair))
+        for argv in (["solve-regular", "6", "2", "4"],
+                     ["roll", poly_path, "--verify", "--steps", "2"],
+                     ["dance", poly_path, "--q", "0.5,0.5,0.5,0.5"],
+                     ["undance", pair_path], ["verify", pair_path]):
+            res = runner.invoke(main, argv + ["--tol", tol])
+            assert res.exit_code == 1, argv
+            assert isinstance(res.exception, SystemExit)  # no traceback
+            lines = res.output.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error: tol "), argv
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_ode_steps_below_one(self, runner, tmp_path, steps):

@@ -203,6 +203,11 @@ class TestProjectiveMonodromy:
                 for s2 in (1.0, -1.0):
                     g = rl.edge_monodromy(s1 * v1, s2 * v2, 3.0)
                     assert quat_distance(g, base) <= 1e-12
+                    # the closed form (d^2 - |c|^2, 2 d c) against the
+                    # trigonometric edge factor
+                    h = rl.projective_edge_monodromy(s1 * v1, s2 * v2)
+                    assert quat_distance(h, base) <= 1e-14
+                    assert abs(np.linalg.norm(h) - 1.0) <= 4e-15
 
     def test_dependence_away_from_three(self):
         v1, v2 = EX, EY
