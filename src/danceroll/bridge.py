@@ -260,7 +260,7 @@ def pipeline_inverse(pair, monodromy_tol=1e-8):
     if not pair.closed:
         raise ClosureFailure("inverse transport needs a closed pair")
     poly = lift_dancing_pair(pair)
-    states = [phi_inv(iota(p)) for p in poly.points]
+    states = [phi_inv(ImOctonion(1.0, p.A, p.b)) for p in poly.points]
     unchart = quat_conj(pair.chart)
     reps = [v for v, _ in states]
     qs = [quat_mul(s, unchart) for _, s in states]

@@ -17,7 +17,8 @@ import click
 import numpy as np
 
 from . import bridge, docio, eulerroll, rolling, svg
-from .dancing import dancing_residual, inscribed_residual, nondegeneracy_report
+from .dancing import (NONDEG_DET, dancing_residual, inscribed_residual,
+                      nondegeneracy_report)
 from .errors import (
     ClosureFailure,
     DancerollError,
@@ -94,7 +95,7 @@ def cmd_solve_regular(n, w, wprime, tol, as_json):
     if as_json:
         click.echo(json.dumps({
             "n": n, "w": w, "wprime": wprime, "phi": phi,
-            "vertices": [[float(c) for c in v] for v in poly.vertices],
+            "vertices": poly.vertices.tolist(),
             "monodromy": [float(c) for c in report.g],
             "trivial": bool(report.trivial),
             "traced_turning_defect": traced_defect,
@@ -260,7 +261,7 @@ def cmd_verify(pair_file, tol):
             failed.append(i)
     off_edge, tri_v, tri_b = nondegeneracy_report(pair)
     m = min([1.0] + tri_v + tri_b + off_edge)
-    ok = m > 1e-10
+    ok = m > NONDEG_DET
     click.echo("non-degeneracy margin %.3g  %s" % (m, "ok" if ok else "FAIL"))
     if not ok:
         failed.append(-1)

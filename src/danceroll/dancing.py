@@ -14,6 +14,11 @@ is
 with C = b_i ^ a_{i+1} and D = b_{i+2} ^ a_i, a sum of two cross-ratios
 of collinear quadruples.  Horizontal segments on the quadric are the
 affine lines with b_2 - b_1 = A_1 x A_2.
+
+A pair stores A and b as two (n, 3) float arrays, row i holding A_i and
+b_i; the kernels read those rows once as Python floats.  A point of the
+quadric (QDanPoint) holds one (3,) array each, and a horizontal polygon
+is a list of such points.
 """
 
 import math
@@ -36,6 +41,7 @@ from .geom import (
     _cross,
     _dot,
     _unit_rep,
+    as_rows,
     as_vec3,
     covec_cross,
     cross_ratio,
@@ -47,7 +53,7 @@ from .geom import (
 
 DANCING_TOL = 1e-6  # default acceptance level for the dancing residual
 LIFT_TOL = 1e-8  # largest relative disagreement of consecutive edge lifts
-NONDEG_DET = 1e-10  # non-degeneracy: |det| of consecutive normalized triples
+NONDEG_DET = 1e-9  # non-degeneracy: |det| of normalized triples, |b_i . A_i|
 
 
 @dataclass(frozen=True)
@@ -84,23 +90,26 @@ class HorizontalPolygon:
 @dataclass
 class DancingPair:
     """Vertex representatives A[i] and edge representatives b[i]; projective
-    data, so representatives are only defined up to scale.
+    data, so representatives are only defined up to scale.  A and b are
+    (n, 3) float arrays of the same length n >= 1, one row per vertex and
+    per edge; the constructor takes anything numpy reads as such, and
+    raises ValueError otherwise.
 
     `chart` is the unit quaternion r with which the bridge read rolling
     states s as s r before mapping them to the pair (the identity unless
     that reading would put a vertex on the chart's excluded hyperplane);
     the inverse transport multiplies by conj(r) to undo it."""
-    A: list
-    b: list
+    A: np.ndarray
+    b: np.ndarray
     closed: bool = False
     chart: np.ndarray = field(default_factory=lambda: QUAT_ONE.copy())
 
     def __post_init__(self):
-        self.A = [as_vec3(a) for a in self.A]
-        self.b = [as_vec3(bb) for bb in self.b]
+        self.A = as_rows(self.A)
+        self.b = as_rows(self.b)
         self.chart = np.asarray(self.chart, dtype=float)
         if len(self.A) != len(self.b):
-            raise ValueError("vertex and edge lists must have equal length")
+            raise ValueError("vertex and edge arrays must have equal length")
 
     def __len__(self):
         return len(self.A)
@@ -132,32 +141,17 @@ def horizontal_residual(p, q):
     return float(np.linalg.norm((q.b - p.b) - np.cross(p.A, q.A)))
 
 
-def _wrap(seq, i):
-    return seq[i % len(seq)]
-
-
-def _pair_vertex_data(pair, i):
-    n = len(pair)
-    if pair.closed:
-        idx = [i % n, (i + 1) % n, (i + 2) % n]
-    else:
-        if i > n - 3:
-            raise IndexError("open pair has no dancing condition at index %d" % i)
-        idx = [i, i + 1, i + 2]
-    A = [pair.A[j] for j in idx]
-    b = [pair.b[j] for j in idx]
-    return A, b
-
-
 def dancing_residual(pair, i, tol=TOL):
     """Value of the dancing condition at vertex i (zero iff it holds)."""
-    (A1, A2, A3), (b1, b2, b3) = _pair_vertex_data(pair, i)
-    B1 = covec_cross(b1, b2)
-    B2 = covec_cross(b2, b3)
-    a1 = vec_cross(A1, A2)
-    a2 = vec_cross(A2, A3)
-    C = covec_cross(b1, a2)
-    D = covec_cross(b3, a1)
+    n = len(pair)
+    if not pair.closed and i > n - 3:
+        raise IndexError("open pair has no dancing condition at index %d" % i)
+    A, b = pair.A.tolist(), pair.b.tolist()
+    A1, A2, A3 = (A[(i + k) % n] for k in range(3))
+    b1, b2, b3 = (b[(i + k) % n] for k in range(3))
+    B1, B2 = _cross(b1, b2), _cross(b2, b3)
+    a1, a2 = _cross(A1, A2), _cross(A2, A3)
+    C, D = _cross(b1, a2), _cross(b3, a1)
     try:
         return cross_ratio(A2, B1, A1, D, tol) + cross_ratio(A2, B2, A3, C, tol)
     except (NotCollinear, DegenerateQuadruple, ValueError) as exc:
@@ -166,12 +160,10 @@ def dancing_residual(pair, i, tol=TOL):
 
 def inscribed_residual(pair, i):
     """Distance certificate that B_i = b_i ^ b_{i+1} lies on the chord a_i."""
-    n = len(pair)
-    j = (i + 1) % n
-    B = covec_cross(pair.b[i], pair.b[j])
-    a = vec_cross(pair.A[i], pair.A[j])
+    j = (i + 1) % len(pair)
+    A, b = pair.A.tolist(), pair.b.tolist()
     try:
-        return abs(float(normalize_rep(a) @ normalize_rep(B)))
+        return abs(_dot(_unit_rep(_cross(A[i], A[j])), _unit_rep(_cross(b[i], b[j]))))
     except ValueError as exc:
         raise DegenerateConfiguration(str(exc)) from exc
 
@@ -181,12 +173,11 @@ def nondegeneracy_report(pair):
     consecutive vertex triples non-collinear, consecutive edge triples
     non-concurrent.  Returns the three lists of |det| margins, triple
     products of unit representatives."""
-    A = [_unit_rep(a) for a in pair.A]
-    b = [_unit_rep(bb) for bb in pair.b]
+    n = len(pair)
+    A, b = ([_unit_rep(r) for r in rows.tolist()] for rows in (pair.A, pair.b))
     off_edge = [abs(_dot(bb, a)) for a, bb in zip(A, b)]
-    rng_v = pair.vertex_indices()
-    tri_v = [abs(_dot(_cross(A[i], _wrap(A, i + 1)), _wrap(A, i + 2))) for i in rng_v]
-    tri_b = [abs(_dot(_cross(b[i], _wrap(b, i + 1)), _wrap(b, i + 2))) for i in rng_v]
+    tri_v, tri_b = ([abs(_dot(_cross(r[i], r[(i + 1) % n]), r[(i + 2) % n]))
+                     for i in pair.vertex_indices()] for r in (A, b))
     return off_edge, tri_v, tri_b
 
 
@@ -207,12 +198,14 @@ def lift_inscribed_2gon(a1, b1, a2, b2, tol=TOL):
     [b_1, chord] in the brackets of geom._line_coords give the lift
     (x_1 A_1, b_1 / x_1), (x_2 A_2, b_2 / x_2) with x_1 = cbrt(lam2 / lam1^2)
     and x_2 = -cbrt(lam1 / lam2^2), whatever the representatives' signs.
+    A vertex within NONDEG_DET of its own edge is refused, the same margin
+    is_nondegenerate demands.
     """
     a1, a2, b1, b2 = (_unit_rep(v) for v in (a1, a2, b1, b2))
     if math.hypot(*_cross(a1, a2)) <= tol or math.hypot(*_cross(b1, b2)) <= tol:
         raise DegenerateConfiguration("2-gon needs distinct vertices and edges")
     s1, s2 = _dot(b1, a1), _dot(b2, a2)
-    if abs(s1) <= tol or abs(s2) <= tol:
+    if abs(s1) <= NONDEG_DET or abs(s2) <= NONDEG_DET:
         raise DegenerateConfiguration("a vertex lies on its own edge")
     A1, A2 = [c / s1 for c in a1], [c / s2 for c in a2]
     chord = _cross(A1, A2)
@@ -248,8 +241,9 @@ def lift_dancing_pair(pair, tol=DANCING_TOL):
         r = dancing_residual(pair, i)
         if abs(r) > tol:
             raise NotDancing("dancing residual %.3g at vertex %d" % (r, i))
-    edges = [lift_inscribed_2gon(pair.A[i], pair.b[i], _wrap(pair.A, i + 1),
-                                 _wrap(pair.b, i + 1)) for i in pair.edge_indices()]
+    A, b = pair.A.tolist(), pair.b.tolist()
+    edges = [lift_inscribed_2gon(A[i], b[i], A[(i + 1) % n], b[(i + 1) % n])
+             for i in pair.edge_indices()]
     points = [p for p, _ in edges] + ([] if pair.closed else [edges[-1][1]])
     first = 0 if pair.closed else 1
     P = [p.coords().tolist() for p in points]
@@ -264,8 +258,7 @@ def lift_dancing_pair(pair, tol=DANCING_TOL):
 
 def project_polygon(poly):
     """DancingPair of projective classes under a horizontal polygon."""
-    return DancingPair([p.A.copy() for p in poly.points],
-                       [p.b.copy() for p in poly.points],
+    return DancingPair([p.A for p in poly.points], [p.b for p in poly.points],
                        closed=poly.closed)
 
 
@@ -403,27 +396,22 @@ def normalize_horizontal_3chain(q1, q2, q3, tol=TOL):
     """A unimodular S putting a horizontal 3-chain in normal form.
 
     After the move, q2 = (e1, e^1), q1 = q2 + (e2, e^3) and
-    q3 = q2 + a (e3, -e^2) for the modulus a returned alongside S.
+    q3 = q2 + a (e3, -e^2) for the modulus a returned alongside S.  So S^-1
+    has columns A_2, u_1 = A_1 - A_2 and u_3 / a with u_3 = A_3 - A_2, and
+    det S = 1 gives a = det[A_2, u_1, u_3]; the rows of S are then
+    (u_1 x u_3) / a, (u_3 x A_2) / a and A_2 x u_1.
     """
-    A2, b2 = q2.A, q2.b
-    u, s, vt = np.linalg.svd(b2.reshape(1, 3))
-    w2, w3 = vt[1], vt[2]
-    S0inv = np.column_stack([A2, w2, w3])
-    d = np.linalg.det(S0inv)
-    if abs(d) <= tol:
+    A2, b2 = q2.A.tolist(), q2.b.tolist()
+    if abs(_dot(A2, b2)) <= tol * math.hypot(*b2):
         raise DegenerateConfiguration("vertex on its own edge")
-    S0inv[:, 1] /= d
-    S0 = np.linalg.inv(S0inv)
-    c1 = (S0 @ (q1.A - A2))[1:]
-    c3 = (S0 @ (q3.A - A2))[1:]
-    P = np.column_stack([c1, c3])
-    a = np.linalg.det(P)
+    u1, u3 = (q1.A - q2.A).tolist(), (q3.A - q2.A).tolist()
+    n = _cross(A2, u1)
+    a = _dot(n, u3)
     if abs(a) <= tol:
         raise DegenerateConfiguration("chain directions are parallel")
-    N = np.diag([1.0, a]) @ np.linalg.inv(P)
-    M = np.eye(3)
-    M[1:, 1:] = N
-    return M @ S0, a
+    S = np.array([_cross(u1, u3), _cross(u3, A2), n])
+    S[:2] /= a
+    return S, a
 
 
 def solve_horizontal_quad(q1, q2, q3):

@@ -32,21 +32,17 @@ class DocumentError(ValueError):
     pass
 
 
-def _vec_list(rows):
-    return [[float(c) for c in row] for row in rows]
-
-
 def polygon_to_doc(poly, metadata=None):
     doc = {"kind": "spherical", "rho": poly.rho,
-           "vertices": _vec_list(poly.vertices), "closed": poly.closed}
+           "vertices": poly.vertices.tolist(), "closed": poly.closed}
     if metadata:
         doc["metadata"] = metadata
     return doc
 
 
 def pair_to_doc(pair, metadata=None):
-    doc = {"kind": "dancing-pair", "A": _vec_list(pair.A),
-           "b": _vec_list(pair.b), "closed": pair.closed}
+    doc = {"kind": "dancing-pair", "A": pair.A.tolist(),
+           "b": pair.b.tolist(), "closed": pair.closed}
     if not np.array_equal(pair.chart, QUAT_ONE):
         doc["chart"] = [float(c) for c in pair.chart]
     if metadata:
@@ -56,8 +52,8 @@ def pair_to_doc(pair, metadata=None):
 
 def horizontal_to_doc(poly, metadata=None):
     doc = {"kind": "horizontal",
-           "A": _vec_list(p.A for p in poly.points),
-           "b": _vec_list(p.b for p in poly.points),
+           "A": [p.A.tolist() for p in poly.points],
+           "b": [p.b.tolist() for p in poly.points],
            "closed": poly.closed}
     if metadata:
         doc["metadata"] = metadata
@@ -97,8 +93,7 @@ def check_tol(tol):
 def doc_to_polygon(doc):
     _require(doc.get("kind") == "spherical", "expected a spherical document")
     _check_rows(doc.get("vertices"), "vertices")
-    return SphericalPolygon([np.array(v, dtype=float) for v in doc["vertices"]],
-                            closed=bool(doc.get("closed", True)),
+    return SphericalPolygon(doc["vertices"], closed=bool(doc.get("closed", True)),
                             rho=check_rho(doc.get("rho", 3.0)))
 
 
@@ -112,9 +107,7 @@ def doc_to_pair(doc):
              and all(_is_number(c) for c in chart)
              and abs(np.linalg.norm(chart) - 1.0) <= CHART_NORM_TOL,
              "chart must be a unit quaternion of four finite numbers")
-    return DancingPair([np.array(a, dtype=float) for a in doc["A"]],
-                       [np.array(b, dtype=float) for b in doc["b"]],
-                       closed=bool(doc.get("closed", False)),
+    return DancingPair(doc["A"], doc["b"], closed=bool(doc.get("closed", False)),
                        chart=np.array(chart, dtype=float))
 
 
@@ -123,8 +116,7 @@ def doc_to_horizontal(doc):
     _check_rows(doc.get("A"), "A")
     _check_rows(doc.get("b"), "b")
     _require(len(doc["A"]) == len(doc["b"]), "A and b must have equal length")
-    points = [QDanPoint(np.array(a, dtype=float), np.array(b, dtype=float))
-              for a, b in zip(doc["A"], doc["b"])]
+    points = [QDanPoint(a, b) for a, b in zip(doc["A"], doc["b"])]
     return HorizontalPolygon(points, closed=bool(doc.get("closed", False)))
 
 

@@ -1,9 +1,11 @@
 """Primitives for R^3, its dual, projective points/lines and unit quaternions.
 
-Vectors are plain numpy arrays of shape (3,).  Points of the projective
-plane are represented by nonzero "column" vectors (class Vec3 semantics),
-lines by nonzero "row" covectors.  Quaternions are arrays [s, x, y, z]
-with scalar part first.
+A single vector is a numpy array of shape (3,); a polygon's worth of them
+is one (n, 3) float array with a row per vector (see as_rows), which the
+kernels read once as rows of Python floats for _cross, _dot and
+_line_coords.  Points of the projective plane are represented by nonzero
+"column" vectors (class Vec3 semantics), lines by nonzero "row"
+covectors.  Quaternions are arrays [s, x, y, z] with scalar part first.
 """
 
 import math
@@ -22,6 +24,14 @@ def as_vec3(x):
     return v
 
 
+def as_rows(x):
+    """x as an (n, 3) float array with n >= 1; ValueError otherwise."""
+    v = np.array(x, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3 or len(v) == 0:
+        raise ValueError("expected an (n, 3) array with n >= 1, got shape %s" % (v.shape,))
+    return v
+
+
 def _cross(a, b):
     """Cross product of two 3-sequences of Python floats, as a tuple."""
     a1, a2, a3 = a
@@ -34,8 +44,9 @@ def _dot(a, b):
 
 
 def _unit_rep(v, tol=TOL):
-    """v / |v| as a tuple of Python floats; ValueError for a zero vector."""
-    x, y, z = as_vec3(v).tolist()
+    """v / |v| for any 3-sequence v, as a tuple of floats; ValueError for a
+    zero vector."""
+    x, y, z = v.tolist() if isinstance(v, np.ndarray) else v
     n = math.hypot(x, y, z)
     if n <= tol:
         raise ValueError("zero vector has no projective class")

@@ -8,6 +8,9 @@ u = v1 x v2 normalized.  At the special ratio rho = 3 the edge factor
 exp(2 delta u) only depends on the pair of antipodal classes of the
 endpoints, which makes the monodromy well defined on polygons in the
 projective sphere.
+
+A spherical polygon stores its vertices as one (n, 3) float array of unit
+rows.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +29,7 @@ from .geom import (
     _cross,
     _dot,
     _unit_rep,
+    as_rows,
     as_vec3,
     quat,
     quat_conj,
@@ -40,15 +44,16 @@ MONODROMY_TOL = 1e-10
 
 @dataclass
 class SphericalPolygon:
-    vertices: list
+    """Unit vertices as the rows of an (n, 3) float array, n >= 1; the
+    constructor raises ValueError for anything else."""
+    vertices: np.ndarray
     closed: bool = True
     rho: float = 3.0
 
     def __post_init__(self):
-        self.vertices = [as_vec3(v) for v in self.vertices]
-        for v in self.vertices:
-            if abs(np.linalg.norm(v) - 1.0) > 1e-6:
-                raise ValueError("polygon vertices must be unit vectors")
+        self.vertices = as_rows(self.vertices)
+        if (np.abs(np.linalg.norm(self.vertices, axis=1) - 1.0) > 1e-6).any():
+            raise ValueError("polygon vertices must be unit vectors")
 
     def __len__(self):
         return len(self.vertices)
@@ -61,12 +66,13 @@ class SphericalPolygon:
 
     def nondegeneracy_margin(self):
         """min |det| over consecutive vertex triples and min sine over edges."""
-        n = len(self.vertices)
-        rng = range(n) if self.closed else range(n - 2)
-        dets = [abs(np.linalg.det(np.array([self.vertices[(i + k) % n]
-                                            for k in range(3)]))) for i in rng]
-        sines = [np.linalg.norm(np.cross(a, b)) for a, b in self.edges()]
-        return min(dets) if dets else 1.0, min(sines) if sines else 1.0
+        V = self.vertices
+        c = np.cross(V, np.roll(V, -1, axis=0))
+        dets = np.abs(np.einsum("ij,ij->i", c, np.roll(V, -2, axis=0)))
+        if not self.closed:
+            c, dets = c[:-1], dets[:-2]
+        sines = np.linalg.norm(c, axis=1)
+        return float(dets.min(initial=1.0)), float(sines.min(initial=1.0))
 
 
 @dataclass

@@ -61,7 +61,7 @@ def render_pair_svg(pair, chart="z", size=480, pad=0.25):
     n = len(pair)
     apts = [chart_point(a, chart) for a in pair.A]
     bpts = [chart_point(covec_cross(pair.b[i], pair.b[(i + 1) % n]), chart)
-            for i in range(n if pair.closed else n - 1)]
+            for i in pair.edge_indices()]
     finite = [p for p in apts + bpts if p is not None]
     if not finite:
         raise ValueError("nothing visible in this chart")
@@ -81,7 +81,7 @@ def render_pair_svg(pair, chart="z", size=480, pad=0.25):
              'viewBox="0 0 %d %d">' % (size, size, size, size),
              '<rect width="100%" height="100%" fill="white"/>']
     # inner-polygon edge lines, clipped to the frame
-    for i in range(n if pair.closed else n - 1):
+    for i in pair.edge_indices():
         seg = clip_line_to_box(*line_chart_coeffs(pair.b[i], chart), box=box)
         if seg is None:
             continue
@@ -89,7 +89,7 @@ def render_pair_svg(pair, chart="z", size=480, pad=0.25):
         parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
                      'stroke="#c33" stroke-width="1"/>' % (xa, ya, xb, yb))
     # outer-polygon chords
-    for i in range(n if pair.closed else n - 1):
+    for i in pair.edge_indices():
         p, q = apts[i], apts[(i + 1) % n]
         if p is None or q is None:
             continue

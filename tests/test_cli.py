@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import danceroll
 from danceroll import bridge, dancing, docio, rolling, svg
 from danceroll.cli import main
 
@@ -208,6 +212,19 @@ class TestDanceUndance:
         assert len(lines) == 1
         assert lines[0].startswith("pair does not lift back (ClosureFailure)")
 
+    def test_vertex_near_its_own_edge_exits_4(self, runner, tmp_path):
+        # from this start a vertex of the pair lies 9.2e-10 off its own edge,
+        # inside NONDEG_DET, which the lift would refuse: dance refuses too
+        poly = rolling.regular_polygon(13, 5, rolling.solve_phi(13, 5, 7))
+        path = write(tmp_path, "p.json", docio.polygon_to_doc(poly))
+        q_text = "-0.6053934850970825,-0.4385866455115496,0.6629430024653072,0.04058396312853963"
+        res = runner.invoke(main, ["dance", path, "--q", q_text])
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("non-generic configuration")
+
     @pytest.mark.parametrize("q_text", ["1,x,0,0", "nan,0,0,0"])
     def test_bad_q_is_one_error_line(self, runner, tmp_path, q_text):
         path = write(tmp_path, "oct2.json", octant_doc(2))
@@ -381,3 +398,30 @@ class TestSvg:
             assert svg.render_pair_svg(pair, chart=chart).startswith("<svg")
         with pytest.raises(ValueError):
             svg.render_pair_svg(pair, chart="w")
+
+
+class TestScripts:
+    """The example scripts run as child processes and print their summaries."""
+
+    def run_script(self, name, *args):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(danceroll.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, os.path.join(root, "scripts", name), *args],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        return res.stdout
+
+    def test_hexagon_figure(self, tmp_path):
+        json_out, svg_out = str(tmp_path / "hexagon.json"), str(tmp_path / "hexagon.svg")
+        out = self.run_script("hexagon_figure.py", "--json-out", json_out,
+                              "--svg-out", svg_out)
+        assert "nondegenerate: True" in out
+        assert "wrote %s and %s" % (json_out, svg_out) in out
+        assert "inverse pipeline: start quaternion error" in out
+        assert docio.doc_to_pair(docio.load_document(json_out)).A.shape == (6, 3)
+        assert (tmp_path / "hexagon.svg").read_text().startswith("<svg")
+
+    def test_enumerate_triples(self):
+        out = self.run_script("enumerate_triples.py")
+        assert "67 triples, 14 minimal, hexagon sin^2(phi) = 0.666666666666667" in out

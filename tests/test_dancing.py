@@ -212,3 +212,31 @@ class TestSmallN:
             assert dc.horizontal_residual(q3, q4) <= 1e-8
             assert dc.horizontal_residual(q4, q1) <= 1e-8
             assert q4.distance(q2) <= 1e-6
+
+
+class TestRowArrays:
+    """A pair stores A and b as (n, 3) float arrays and refuses anything else."""
+
+    GOOD = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+    def test_rows_are_one_array(self):
+        pair = dc.DancingPair([np.array(r) for r in self.GOOD], self.GOOD)
+        for rows in (pair.A, pair.b):
+            assert isinstance(rows, np.ndarray)
+            assert rows.shape == (3, 3) and rows.dtype == float
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0, 0.0], [0.0, 1.0]],  # ragged
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],  # (n, 2)
+        [],  # empty
+    ], ids=["ragged", "two-columns", "empty"])
+    def test_malformed_rows(self, rows):
+        good = self.GOOD[:len(rows)]
+        with pytest.raises(ValueError):
+            dc.DancingPair(rows, good)
+        with pytest.raises(ValueError):
+            dc.DancingPair(good, rows)
+
+    def test_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            dc.DancingPair(self.GOOD, self.GOOD[:2])

@@ -220,3 +220,33 @@ class TestProjectiveMonodromy:
             rl.projective_edge_monodromy(EX, EY, rho=2.0)
         with pytest.raises(IdenticalClasses):
             rl.projective_edge_monodromy(EX, -EX)
+
+
+class TestVertexArray:
+    def test_vertices_are_one_array(self):
+        poly = rl.SphericalPolygon([EX, EY, EZ])
+        assert isinstance(poly.vertices, np.ndarray)
+        assert poly.vertices.shape == (3, 3) and poly.vertices.dtype == float
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0, 0.0], [0.0, 1.0]],  # ragged
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]],  # (n, 2)
+        [],  # empty
+    ], ids=["ragged", "two-columns", "empty"])
+    def test_malformed_vertices(self, rows):
+        with pytest.raises(ValueError):
+            rl.SphericalPolygon(rows)
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_nondegeneracy_margin_matches_det(self, closed):
+        V = np.random.default_rng(3).standard_normal((7, 3))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        poly = rl.SphericalPolygon(V, closed=closed)
+        n = len(V)
+        dets = [abs(np.linalg.det(V[[i, (i + 1) % n, (i + 2) % n]]))
+                for i in range(n if closed else n - 2)]
+        sines = [np.linalg.norm(np.cross(V[i], V[(i + 1) % n]))
+                 for i in range(n if closed else n - 1)]
+        det, sine = poly.nondegeneracy_margin()
+        assert det == pytest.approx(min(dets), rel=1e-12)
+        assert sine == pytest.approx(min(sines), rel=1e-12)
