@@ -160,7 +160,7 @@ def cmd_roll(polygon_file, rho, method, verify, steps, tol):
     for i, f in enumerate(report.factors):
         click.echo("  edge %d factor %s" % (i, _fmt_quat(f)))
     if verify:
-        d = min(quat_distance(report.g, g_ode), quat_distance(report.g, -g_ode))
+        d = quat_distance(report.g, g_ode)
         click.echo("method agreement |quat - ode| = %.3g" % d)
         if d > tol:
             click.echo("methods disagree beyond tolerance", err=True)

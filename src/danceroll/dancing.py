@@ -141,14 +141,23 @@ def horizontal_residual(p, q):
     return float(np.linalg.norm((q.b - p.b) - np.cross(p.A, q.A)))
 
 
+def _cyclic_rows(X, i, k):
+    """Rows i, ..., i + k - 1 of the (n, 3) array X, indices mod n, as lists
+    of floats; only those rows are converted."""
+    i %= len(X)
+    rows = X[i:i + k].tolist()
+    while len(rows) < k:
+        rows += X[:k - len(rows)].tolist()
+    return rows
+
+
 def dancing_residual(pair, i, tol=TOL):
     """Value of the dancing condition at vertex i (zero iff it holds)."""
     n = len(pair)
     if not pair.closed and i > n - 3:
         raise IndexError("open pair has no dancing condition at index %d" % i)
-    A, b = pair.A.tolist(), pair.b.tolist()
-    A1, A2, A3 = (A[(i + k) % n] for k in range(3))
-    b1, b2, b3 = (b[(i + k) % n] for k in range(3))
+    A1, A2, A3 = _cyclic_rows(pair.A, i, 3)
+    b1, b2, b3 = _cyclic_rows(pair.b, i, 3)
     B1, B2 = _cross(b1, b2), _cross(b2, b3)
     a1, a2 = _cross(A1, A2), _cross(A2, A3)
     C, D = _cross(b1, a2), _cross(b3, a1)
@@ -160,10 +169,10 @@ def dancing_residual(pair, i, tol=TOL):
 
 def inscribed_residual(pair, i):
     """Distance certificate that B_i = b_i ^ b_{i+1} lies on the chord a_i."""
-    j = (i + 1) % len(pair)
-    A, b = pair.A.tolist(), pair.b.tolist()
+    A1, A2 = _cyclic_rows(pair.A, i, 2)
+    b1, b2 = _cyclic_rows(pair.b, i, 2)
     try:
-        return abs(_dot(_unit_rep(_cross(A[i], A[j])), _unit_rep(_cross(b[i], b[j]))))
+        return abs(_dot(_unit_rep(_cross(A1, A2)), _unit_rep(_cross(b1, b2))))
     except ValueError as exc:
         raise DegenerateConfiguration(str(exc)) from exc
 

@@ -10,8 +10,11 @@ with omega the space-frame angular velocity of g, force
 omega = (1 + rho) v x vdot for a unit contact point v.  The Euler-angle
 rates are then M^-1 omega, with M the rate-to-omega matrix, in closed form.
 The integrator reads omega from the sampled contact curve at every RK4
-stage; integrating around a polygon must reproduce the quaternion
-monodromy computed algebraically edge by edge.
+stage.  The lifted quaternion is read from the Euler half-angles in closed
+form, qz(gamma/2) qy(beta/2) qx(alpha/2), which is continuous in the
+integrated angles and so fixes the sign of the lift without sampling;
+integrating around a polygon must reproduce the quaternion monodromy
+computed algebraically edge by edge, sign included.
 
 The chart is singular at beta = +-pi/2 (the rate-to-omega matrix has
 determinant cos beta) and the spherical chart at sin theta = 0.  The
@@ -26,10 +29,12 @@ import numpy as np
 from .errors import ChartSingularity, DegenerateEdge
 from .geom import (
     QUAT_ONE,
+    _cross,
+    _dot,
     as_vec3,
-    matrix_to_quat,
     quat_conj,
     quat_mul,
+    quat_to_matrix,
 )
 
 RESEAT_COS_BETA = 0.5  # re-seat the chart when |cos beta| drops below this
@@ -124,25 +129,36 @@ def _rates_from_omega(beta, gamma, w):
 
 
 def _rotation_taking(n, n0):
-    """A rotation matrix sending the unit vector n to the unit vector n0."""
-    n = as_vec3(n)
-    n0 = as_vec3(n0)
-    c = float(n @ n0)
-    axis = np.cross(n, n0)
-    s = np.linalg.norm(axis)
-    if s < 1e-12:
-        if c > 0:
-            return np.eye(3)
+    """The unit quaternion (1 + n.n0, n x n0) / |.| of the least rotation
+    sending the unit vector n to the unit vector n0, as a tuple of floats.
+
+    1 + n.n0 is taken as |n + n0|^2 / 2, which keeps its relative accuracy
+    near n = -n0; at n = -n0 itself it is a half turn about an axis
+    orthogonal to n.
+    """
+    w = _cross(n, n0)
+    if _dot(w, w) < 1e-24 and _dot(n, n0) < 0.0:
         # pick any axis orthogonal to n for a half turn
-        k = np.eye(3)[int(np.argmin(np.abs(n)))]
-        axis = np.cross(n, k)
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
-    axis = axis / s
-    K = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
+        k = [0.0, 0.0, 0.0]
+        k[min(range(3), key=lambda i: abs(n[i]))] = 1.0
+        q = (0.0,) + _cross(n, k)
+    else:
+        m = [x + y for x, y in zip(n, n0)]
+        q = (0.5 * _dot(m, m),) + w
+    s = math.hypot(*q)
+    return tuple(x / s for x in q)
+
+
+def _euler_lift(a, b, g):
+    """The lift qz(g/2) qy(b/2) qx(a/2) of Rz(g) Ry(b) Rx(a) to the unit
+    quaternions; continuous in the angles, so it needs no sign tracking."""
+    ca, sa = math.cos(0.5 * a), math.sin(0.5 * a)
+    cb, sb = math.cos(0.5 * b), math.sin(0.5 * b)
+    cg, sg = math.cos(0.5 * g), math.sin(0.5 * g)
+    return (cg * cb * ca + sg * sb * sa,
+            cg * cb * sa - sg * sb * ca,
+            cg * sb * ca + sg * cb * sa,
+            sg * cb * ca - cg * sb * sa)
 
 
 def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
@@ -155,8 +171,11 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
     The arc is first conjugated so that its normal makes a fixed small
     angle with the pole; rolling about such a normal keeps the Euler chart
     uniformly far from its beta singularity, and the result is conjugated
-    back at the end.  `record`, if a list, receives (t, state, rates)
-    samples in the original frame's spherical chart for diagnostics.
+    back at the end.  The lifted quaternion is read from the Euler
+    half-angles (see _euler_lift), times the lifts of the charts left at
+    each re-seat, so no sign has to be chosen by continuity.  `record`, if
+    a list, receives (t, state, rates) samples in the original frame's
+    spherical chart for diagnostics.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1, got %r" % (steps,))
@@ -164,25 +183,29 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
     normal = as_vec3(normal)
     if abs(float(normal @ v_start)) > 1e-9:
         raise DegenerateEdge("arc normal must be orthogonal to the start point")
-    n0 = np.array([math.sin(BAND_TILT), 0.0, math.cos(BAND_TILT)])
-    Rc = _rotation_taking(normal, n0)
-    ea = Rc @ v_start
-    eb = np.cross(n0, ea)
+    n0 = (math.sin(BAND_TILT), 0.0, math.cos(BAND_TILT))
+    qc = _rotation_taking(normal.tolist(), n0)
+    ea = (quat_to_matrix(qc) @ v_start).tolist()
+    eb = _cross(n0, ea)
 
     h = angle / steps
-    # contact point and velocity at half-step resolution, and the angular
-    # velocity that no slip and no twist force there, as Python lists so the
-    # inner loop does float arithmetic, not numpy scalars
+    # contact point and velocity at half-step resolution, column by column,
+    # and the angular velocity that no slip and no twist force there, as
+    # float tuples so the inner loop does float arithmetic, not numpy scalars
     ts = np.arange(2 * steps + 1) * (0.5 * h)
     cs, ss = np.cos(ts), np.sin(ts)
-    vs = np.outer(cs, ea) + np.outer(ss, eb)
-    vds = np.outer(-ss, ea) + np.outer(cs, eb)
-    ws = ((1.0 + rho) * np.cross(vs, vds)).tolist()
+    vx, vy, vz = (cs * ea[i] + ss * eb[i] for i in range(3))
+    dx, dy, dz = (cs * eb[i] - ss * ea[i] for i in range(3))
+    c = 1.0 + rho
+    ws = list(zip((c * (vy * dz - vz * dy)).tolist(),
+                  (c * (vz * dx - vx * dz)).tolist(),
+                  (c * (vx * dy - vy * dx)).tolist()))
+    if record is not None:
+        samples = np.stack([vx, vy, vz, dx, dy, dz], axis=1)[2::2].tolist()
 
     a, b, g = 0.0, 0.0, 0.0
-    R_off = np.eye(3)
-    q_prev = QUAT_ONE.copy()
-    sample_every = max(1, steps // max(8, int(abs(angle) * (rho + 1.0) / 0.5) + 1))
+    # the lifts of the re-seated charts, times the frame quaternion qc
+    q_off = qc
     hh, h6 = 0.5 * h, h / 6.0
 
     for k in range(steps):
@@ -195,14 +218,10 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
         b += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         g += h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         if abs(math.cos(b)) < RESEAT_COS_BETA:
-            R_off = euler_to_rotation(a, b, g) @ R_off
+            q_off = quat_mul(_euler_lift(a, b, g), q_off)
             a, b, g = 0.0, 0.0, 0.0
-            q_prev = _continue_quat(R_off, q_prev)
-        elif (k + 1) % sample_every == 0:
-            q_prev = _continue_quat(euler_to_rotation(a, b, g) @ R_off, q_prev)
         if record is not None:
-            v = vs[2 * k + 2].tolist()
-            vd = vds[2 * k + 2].tolist()
+            v, vd = samples[k][:3], samples[k][3:]
             theta = math.acos(max(-1.0, min(1.0, v[2])))
             phi = math.atan2(v[1], v[0])
             rates = solve_euler_rates(b, g, v, vd, rho)
@@ -215,32 +234,22 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
                  rates[0], rates[1], rates[2]),
             ))
 
-    R_total = euler_to_rotation(a, b, g) @ R_off
-    q_total = _continue_quat(R_total, q_prev)
     # conjugate back to the original frame
-    R = Rc.T @ R_total @ Rc
-    qc = matrix_to_quat(Rc)
-    qlift = quat_mul(quat_conj(qc), quat_mul(q_total, qc))
-    return R, qlift
-
-
-def _continue_quat(R, q_prev):
-    q = matrix_to_quat(R)
-    if float(q @ q_prev) < 0.0:
-        q = -q
-    return q
+    qlift = quat_mul(quat_conj(qc), quat_mul(_euler_lift(a, b, g), q_off))
+    return quat_to_matrix(qlift), qlift
 
 
 def integrate_roll(v1, v2, rho=3.0, steps=10000, record=None):
     """Integrate the rolling ODE along the minor arc from v1 to v2."""
     v1 = as_vec3(v1)
     v2 = as_vec3(v2)
-    c = np.cross(v1, v2)
-    s = np.linalg.norm(c)
+    c = _cross(v1.tolist(), v2.tolist())
+    s = math.sqrt(_dot(c, c))
     if s <= 1e-12:
         raise DegenerateEdge("arc endpoints parallel or antipodal")
     angle = math.atan2(s, float(v1 @ v2))
-    return integrate_arc(v1, c / s, angle, rho=rho, steps=steps, record=record)
+    return integrate_arc(v1, [x / s for x in c], angle, rho=rho, steps=steps,
+                         record=record)
 
 
 def integrate_polygon(poly, steps_per_edge=10000):

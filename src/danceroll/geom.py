@@ -197,40 +197,6 @@ def quat_to_matrix(q):
     ])
 
 
-def matrix_to_quat(m):
-    """A unit quaternion for the rotation matrix m (sign ambiguous).
-
-    Shepperd's method: pick the largest of the four squared components.
-    """
-    m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    choices = [tr, m[0, 0], m[1, 1], m[2, 2]]
-    i = int(np.argmax(choices))
-    if i == 0:
-        s = np.sqrt(tr + 1.0) * 2
-        return np.array([0.25 * s,
-                         (m[2, 1] - m[1, 2]) / s,
-                         (m[0, 2] - m[2, 0]) / s,
-                         (m[1, 0] - m[0, 1]) / s])
-    if i == 1:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
-        return np.array([(m[2, 1] - m[1, 2]) / s,
-                         0.25 * s,
-                         (m[0, 1] + m[1, 0]) / s,
-                         (m[0, 2] + m[2, 0]) / s])
-    if i == 2:
-        s = np.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2]) * 2
-        return np.array([(m[0, 2] - m[2, 0]) / s,
-                         (m[0, 1] + m[1, 0]) / s,
-                         0.25 * s,
-                         (m[1, 2] + m[2, 1]) / s])
-    s = np.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2]) * 2
-    return np.array([(m[1, 0] - m[0, 1]) / s,
-                     (m[0, 2] + m[2, 0]) / s,
-                     (m[1, 2] + m[2, 1]) / s,
-                     0.25 * s])
-
-
 def quat_distance(p, q):
     """Distance in S^3 ignoring nothing: plain Euclidean norm of p - q."""
     return np.linalg.norm(np.asarray(p) - np.asarray(q))

@@ -99,8 +99,8 @@ def oct_conj(z):
 
 def oct_form(z):
     """The quadratic norm form x y + bA; on imaginaries this is -x^2 + bA."""
-    z = _as_oct(z)
-    return float(z.x * z.y + z.b @ z.A)
+    y = -z.x if isinstance(z, ImOctonion) else z.y
+    return float(z.x * y + z.b @ z.A)
 
 
 def oct_polarize(z, zp):

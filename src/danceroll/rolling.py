@@ -110,13 +110,23 @@ def edge_monodromy(v1, v2, rho=3.0, tol=TOL):
 
 def polygon_monodromy(poly, start_index=0, tol=MONODROMY_TOL):
     """Ordered product of edge monodromies around the polygon, starting at
-    the given vertex; starting elsewhere conjugates the result."""
+    the given vertex; starting elsewhere conjugates the result.  At ratio 3
+    each factor is the closed form of projective_edge_monodromy, otherwise
+    edge_monodromy."""
     n = len(poly)
     order = [(start_index + k) % n for k in range(n if poly.closed else n - 1)]
+    V = poly.vertices.tolist()
     factors = []
     g = QUAT_ONE.copy()
     for i in order:
-        f = edge_monodromy(poly.vertices[i], poly.vertices[(i + 1) % n], poly.rho)
+        v1, v2 = V[i], V[(i + 1) % n]
+        if poly.rho != 3.0:
+            f = edge_monodromy(v1, v2, poly.rho)
+        else:
+            c = _cross(v1, v2)
+            if _dot(c, c) <= 1e-24:
+                raise DegenerateEdge("edge endpoints parallel or antipodal")
+            f = projective_edge_monodromy(v1, v2, tol=0.0)
         factors.append(f)
         g = quat_mul(f, g)
     return MonodromyReport(g, factors, tol)

@@ -160,6 +160,21 @@ class TestRoll:
         assert res.exit_code == 3
         assert "methods disagree" in res.output
 
+    def test_verify_rejects_a_lift_of_the_wrong_sign(self, runner, tmp_path, monkeypatch):
+        # the sign of the lift is what the ODE certifies, so -g must not pass
+        from danceroll import eulerroll
+        integrate = eulerroll.integrate_polygon
+
+        def flipped(poly, steps):
+            R, q = integrate(poly, steps)
+            return R, -q
+
+        monkeypatch.setattr(eulerroll, "integrate_polygon", flipped)
+        path = write(tmp_path, "oct.json", octant_doc())
+        res = runner.invoke(main, ["roll", path, "--verify", "--steps", "400"])
+        assert res.exit_code == 3
+        assert "methods disagree" in res.output
+
 
 class TestDanceUndance:
     def test_nongeneric_q_exits_4(self, runner, tmp_path):

@@ -10,7 +10,7 @@ import danceroll
 from danceroll import eulerroll as er
 from danceroll import rolling as rl
 from danceroll.errors import ChartSingularity, DegenerateEdge
-from danceroll.geom import QUAT_ONE, quat_distance, quat_to_matrix
+from danceroll.geom import QUAT_ONE, quat_distance, quat_rotate, quat_to_matrix
 
 EX, EY, EZ = np.eye(3)
 
@@ -56,6 +56,24 @@ class TestChart:
             b, g = rng.uniform(-1.4, 1.4, 2)
             m = er.rate_to_omega_matrix(b, g)
             assert np.linalg.det(m) == pytest.approx(math.cos(b), abs=1e-12)
+
+    def test_half_angle_lift_covers_the_chart(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            a, b, g = rng.uniform(-7, 7, 3)
+            assert np.allclose(quat_to_matrix(er._euler_lift(a, b, g)),
+                               er.euler_to_rotation(a, b, g), atol=1e-12)
+
+    def test_frame_quaternion_takes_n_to_n0(self):
+        n0 = np.array([math.sin(er.BAND_TILT), 0.0, math.cos(er.BAND_TILT)])
+        rng = np.random.default_rng(7)
+        tilt = rng.standard_normal(3)
+        near = -n0 + 1e-7 * np.cross(n0, tilt)
+        for n in (n0, -n0, near / np.linalg.norm(near), rng.standard_normal(3)):
+            n = n / np.linalg.norm(n)
+            q = np.array(er._rotation_taking(n.tolist(), n0.tolist()))
+            assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+            assert np.abs(quat_rotate(q, n) - n0).max() <= 1e-15
 
     def test_chart_singularity_raised(self):
         with pytest.raises(ChartSingularity):
@@ -104,6 +122,31 @@ class TestIntegration:
             qe = rl.edge_monodromy(v1, v2, 3.0)
             assert quat_distance(q, qe) <= 1e-8
             assert np.abs(R - quat_to_matrix(qe)).max() <= 1e-8
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_arc_about_the_band_normal_keeps_the_sign(self, sign):
+        # normal = -n0 takes the half-turn branch of the frame quaternion
+        n0 = np.array([math.sin(er.BAND_TILT), 0.0, math.cos(er.BAND_TILT)])
+        normal, v1, angle = sign * n0, EY, 2.5
+        v2 = math.cos(angle) * v1 + math.sin(angle) * np.cross(normal, v1)
+        R, q = er.integrate_arc(v1, normal, angle, steps=600)
+        qe = rl.edge_monodromy(v1, v2, 3.0)
+        assert quat_distance(q, qe) <= 1e-8
+        assert np.abs(R - quat_to_matrix(qe)).max() <= 1e-8
+
+    def test_reseated_chart_keeps_the_lift(self, monkeypatch):
+        # no arc of the benchmark polygons re-seats, so force it
+        monkeypatch.setattr(er, "RESEAT_COS_BETA", 0.99)
+        lifts = []
+        lift = er._euler_lift
+        monkeypatch.setattr(er, "_euler_lift", lambda *a: lifts.append(a) or lift(*a))
+        v2 = np.array([-0.6, 0.7, -0.39])
+        v2 /= np.linalg.norm(v2)
+        R, q = er.integrate_roll(EX, v2, steps=1500)
+        assert len(lifts) > 2
+        qe = rl.edge_monodromy(EX, v2, 3.0)
+        assert quat_distance(q, qe) <= 1e-8
+        assert np.abs(R - quat_to_matrix(qe)).max() <= 1e-8
 
     def test_other_ratio(self):
         R, q = er.integrate_roll(EX, EY, rho=1.5, steps=1500)

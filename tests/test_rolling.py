@@ -75,6 +75,23 @@ class TestPolygonMonodromy:
         rhs = quat_mul(c, g0)
         assert quat_distance(lhs, rhs) <= 1e-12
 
+    def test_factors_match_trigonometric_edge_factor(self):
+        # at ratio 3 the factors are the closed form, elsewhere edge_monodromy
+        rng = np.random.default_rng(5)
+        verts = rng.standard_normal((7, 3))
+        verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+        for rho in (3.0, 2.0):
+            poly = rl.SphericalPolygon(verts, rho=rho)
+            rep = rl.polygon_monodromy(poly)
+            for i, f in enumerate(rep.factors):
+                qe = rl.edge_monodromy(verts[i], verts[(i + 1) % 7], rho)
+                assert quat_distance(f, qe) <= 1e-14
+
+    def test_degenerate_edge_raises(self):
+        for v in (EX, -EX):
+            with pytest.raises(DegenerateEdge):
+                rl.polygon_monodromy(rl.SphericalPolygon([EX, v, EZ]))
+
     def test_factor_order(self):
         poly = rl.SphericalPolygon([EX, EY, EZ])
         rep = rl.polygon_monodromy(poly)
