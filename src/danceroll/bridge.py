@@ -140,11 +140,11 @@ def antipode_equivariance_check(v, q):
 
 @dataclass
 class RollingLift:
-    """A lifted rolling polygon: projective contact classes, their chosen
-    unit representatives, and the quaternion state at each vertex."""
-    classes: list
-    reps: list
-    states: list
+    """A lifted rolling polygon: (n, 3) arrays of the projective contact
+    classes and their unit representatives, and the (n, 4) vertex states."""
+    classes: np.ndarray
+    reps: np.ndarray
+    states: np.ndarray
 
     @property
     def start_quaternion(self):
@@ -254,23 +254,23 @@ def pipeline_inverse(pair, monodromy_tol=1e-8):
     ray is read as a rolling state.  Those states are s r for the pair's
     `chart` r (see pipeline_forward), so each is multiplied on the right by
     conj(r) to give back the states s.  ClosureFailure is raised
-    for an open pair, and when the recovered states fail to be connected
-    by the rolling edge factors or the recovered monodromy is not trivial.
+    for an open pair, and when a recovered state misses the rolling edge
+    factor times the previous one (closing edge included) by monodromy_tol.
     """
     if not pair.closed:
         raise ClosureFailure("inverse transport needs a closed pair")
     poly = lift_dancing_pair(pair)
-    states = [phi_inv(ImOctonion(1.0, p.A, p.b)) for p in poly.points]
+    states = [phi_inv(ImOctonion(1.0, a, b)) for a, b in zip(poly.A, poly.b)]
     unchart = quat_conj(pair.chart)
-    reps = [v for v, _ in states]
-    qs = [quat_mul(s, unchart) for _, s in states]
+    reps = np.array([v for v, _ in states])
+    qs = np.array([quat_mul(s, unchart) for _, s in states])
     n = len(reps)
     for i in range(n):
         v1, v2 = reps[i], reps[(i + 1) % n]
         mu = projective_edge_monodromy(v1, v2)
         expected = quat_mul(mu, qs[i])
-        if quat_distance(expected, qs[(i + 1) % n]) > max(monodromy_tol, 1e-7):
+        if quat_distance(expected, qs[(i + 1) % n]) > monodromy_tol:
             raise ClosureFailure(
                 "edge %d does not transport the recovered state" % i)
-    classes = [normalize_rep(v) for v in reps]
+    classes = np.array([normalize_rep(v) for v in reps])
     return RollingLift(classes, reps, qs)

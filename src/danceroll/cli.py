@@ -51,8 +51,8 @@ def _fmt_quat(q):
 
 
 def _checked(fn, *args):
-    """fn(*args); a ValueError (a malformed document or option value) ends
-    the command with a one-line error and exit code 1."""
+    """fn(*args); a ValueError (malformed or too small an input, or a bad
+    option value) ends the command with a one-line error and exit code 1."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -187,7 +187,7 @@ def cmd_dance(polygon_file, q_text, out, svg_path, chart, tol):
     poly = _load(polygon_file, docio.doc_to_polygon)
     q = _checked(docio.parse_quaternion, q_text)
     try:
-        pair = bridge.pipeline_forward(poly.vertices, q, monodromy_tol=tol)
+        pair = _checked(bridge.pipeline_forward, poly.vertices, q, tol)
     except tuple(EXIT_CODES) as exc:
         _exit_on_failure(exc)
     doc = docio.pair_to_doc(pair, metadata={"tolerance": tol,
@@ -216,7 +216,7 @@ def cmd_undance(pair_file, out, tol):
     tol = _checked(docio.check_tol, tol)
     pair = _load(pair_file, docio.doc_to_pair)
     try:
-        lift = bridge.pipeline_inverse(pair, monodromy_tol=tol)
+        lift = _checked(bridge.pipeline_inverse, pair, tol)
     except tuple(EXIT_CODES) as exc:
         _exit_on_failure(exc)
     poly = rolling.SphericalPolygon(lift.classes, closed=True, rho=3.0)

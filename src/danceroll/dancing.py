@@ -15,10 +15,10 @@ with C = b_i ^ a_{i+1} and D = b_{i+2} ^ a_i, a sum of two cross-ratios
 of collinear quadruples.  Horizontal segments on the quadric are the
 affine lines with b_2 - b_1 = A_1 x A_2.
 
-A pair stores A and b as two (n, 3) float arrays, row i holding A_i and
-b_i; the kernels read those rows once as Python floats.  A point of the
-quadric (QDanPoint) holds one (3,) array each, and a horizontal polygon
-is a list of such points.
+A dancing pair and a horizontal polygon both store A and b as two (n, 3)
+float arrays, row i holding A_i and b_i; the kernels read those rows once
+as Python floats.  A single point of the quadric (QDanPoint) holds one
+(3,) array each.
 """
 
 import math
@@ -79,40 +79,49 @@ class QDanPoint:
 
 
 @dataclass
-class HorizontalPolygon:
-    points: list
-    closed: bool = False
-
-    def __len__(self):
-        return len(self.points)
-
-
-@dataclass
-class DancingPair:
-    """Vertex representatives A[i] and edge representatives b[i]; projective
-    data, so representatives are only defined up to scale.  A and b are
-    (n, 3) float arrays of the same length n >= 1, one row per vertex and
-    per edge; the constructor takes anything numpy reads as such, and
-    raises ValueError otherwise.
-
-    `chart` is the unit quaternion r with which the bridge read rolling
-    states s as s r before mapping them to the pair (the identity unless
-    that reading would put a vertex on the chart's excluded hyperplane);
-    the inverse transport multiplies by conj(r) to undo it."""
+class _Rows:
+    """Rows A[i], b[i] of a polygon: (n, 3) float arrays of one length n >= 1,
+    from anything numpy reads as such; ValueError otherwise."""
     A: np.ndarray
     b: np.ndarray
     closed: bool = False
-    chart: np.ndarray = field(default_factory=lambda: QUAT_ONE.copy())
 
     def __post_init__(self):
         self.A = as_rows(self.A)
         self.b = as_rows(self.b)
-        self.chart = np.asarray(self.chart, dtype=float)
         if len(self.A) != len(self.b):
             raise ValueError("vertex and edge arrays must have equal length")
 
     def __len__(self):
         return len(self.A)
+
+
+@dataclass
+class HorizontalPolygon(_Rows):
+    """Points (A[i], b[i]) of the quadric bA = 1 as rows (see _Rows), each
+    joined to the next by a horizontal segment."""
+
+    @property
+    def points(self):
+        """The vertices as QDanPoints, built on each access."""
+        return [QDanPoint(a, b) for a, b in zip(self.A, self.b)]
+
+
+@dataclass
+class DancingPair(_Rows):
+    """Vertex representatives A[i] and edge representatives b[i]; projective
+    data, so representatives are only defined up to scale.  A and b are
+    (n, 3) float arrays as in _Rows, one row per vertex and per edge.
+
+    `chart` is the unit quaternion r with which the bridge read rolling
+    states s as s r before mapping them to the pair (the identity unless
+    that reading would put a vertex on the chart's excluded hyperplane);
+    the inverse transport multiplies by conj(r) to undo it."""
+    chart: np.ndarray = field(default_factory=lambda: QUAT_ONE.copy())
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.chart = np.asarray(self.chart, dtype=float)
 
     def vertex_indices(self):
         """Indices i at which the dancing condition applies."""
@@ -197,8 +206,8 @@ def is_nondegenerate(pair, det_tol=NONDEG_DET):
             (not tri_b or min(tri_b) > det_tol))
 
 
-def lift_inscribed_2gon(a1, b1, a2, b2, tol=TOL):
-    """The unique horizontal lift of an inscribed 2-gon.
+def _lift_edge(a1, b1, a2, b2, tol=TOL):
+    """The unique horizontal lift of an inscribed 2-gon, as two 6-float rows.
 
     With unit edges b_i and vertices scaled to b_i A_i = 1, the chord
     normal A_1 x A_2 lies in the pencil of b_1 and b_2: that is the
@@ -226,22 +235,23 @@ def lift_inscribed_2gon(a1, b1, a2, b2, tol=TOL):
     lam2 = _dot(_cross(b1, chord), n) / nn
     if abs(lam1) <= tol or abs(lam2) <= tol:
         raise DegenerateConfiguration("chord normal degenerate in the edge pencil")
-    x1 = np.cbrt(lam2 / lam1 ** 2)
-    x2 = -np.cbrt(lam1 / lam2 ** 2)
-    return (QDanPoint(np.multiply(x1, A1), np.divide(b1, x1)),
-            QDanPoint(np.multiply(x2, A2), np.divide(b2, x2)))
+    x1 = float(np.cbrt(lam2 / lam1 ** 2))
+    x2 = float(-np.cbrt(lam1 / lam2 ** 2))
+    return ([x1 * c for c in A1] + [c / x1 for c in b1],
+            [x2 * c for c in A2] + [c / x2 for c in b2])
 
 
 def lift_dancing_pair(pair, tol=DANCING_TOL):
     """Lift a dancing pair to the horizontal polygon it projects from.
 
     Each edge i (cyclically for a closed pair) is lifted on its own by
-    lift_inscribed_2gon, and vertex i is read from edge i's lift (the last
-    vertex of an open chain from the last edge's second point).  Two edge
-    lifts meeting at a vertex agree exactly when the pair dances there; their
-    largest relative disagreement |Q - P| / |(A, b)| is the certificate, and
-    above LIFT_TOL ClosureFailure names its vertex and value.  NotDancing is
-    raised first when a dancing residual exceeds tol.
+    _lift_edge, and vertex i is read from edge i's lift (the last vertex of
+    an open chain from the last edge's second row; an inscribed 2-gon is the
+    open n = 2 case).  Two edge lifts meeting at a vertex agree exactly when
+    the pair dances there; their largest relative disagreement |Q - P| /
+    |(A, b)| is the certificate, and above LIFT_TOL ClosureFailure names its
+    vertex and value.  NotDancing is raised first when a dancing residual
+    exceeds tol.
     """
     n = len(pair)
     if n < 2:
@@ -251,24 +261,23 @@ def lift_dancing_pair(pair, tol=DANCING_TOL):
         if abs(r) > tol:
             raise NotDancing("dancing residual %.3g at vertex %d" % (r, i))
     A, b = pair.A.tolist(), pair.b.tolist()
-    edges = [lift_inscribed_2gon(A[i], b[i], A[(i + 1) % n], b[(i + 1) % n])
+    edges = [_lift_edge(A[i], b[i], A[(i + 1) % n], b[(i + 1) % n])
              for i in pair.edge_indices()]
-    points = [p for p, _ in edges] + ([] if pair.closed else [edges[-1][1]])
+    rows = [p for p, _ in edges] + ([] if pair.closed else [edges[-1][1]])
     first = 0 if pair.closed else 1
-    P = [p.coords().tolist() for p in points]
-    gaps = [math.dist(edges[i - 1][1].coords().tolist(), P[i]) / math.hypot(*P[i])
+    gaps = [math.dist(edges[i - 1][1], rows[i]) / math.hypot(*rows[i])
             for i in range(first, len(edges))]
     if gaps and max(gaps) > LIFT_TOL:
         i = int(np.argmax(gaps))
         raise ClosureFailure("consecutive edge lifts disagree by %.2g at vertex %d"
                              % (gaps[i], first + i))
-    return HorizontalPolygon(points, closed=pair.closed)
+    rows = np.array(rows)
+    return HorizontalPolygon(rows[:, :3], rows[:, 3:], closed=pair.closed)
 
 
 def project_polygon(poly):
     """DancingPair of projective classes under a horizontal polygon."""
-    return DancingPair([p.A for p in poly.points], [p.b for p in poly.points],
-                       closed=poly.closed)
+    return DancingPair(poly.A, poly.b, closed=poly.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +320,7 @@ def random_horizontal_chain(n, seed=None, rng=None, step=(0.4, 1.2)):
                     ok = False
                     break
         if ok:
-            return HorizontalPolygon(pts, closed=False)
+            return HorizontalPolygon([p.A for p in pts], [p.b for p in pts])
     raise DegenerateConfiguration("could not sample a generic horizontal chain")
 
 

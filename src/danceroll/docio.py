@@ -10,8 +10,8 @@ with homogeneous coordinates for the planar kinds; horizontal documents
 carry the exact lifted (A, b) representatives per vertex.  A dancing-pair
 document may carry "chart": [s, x, y, z], the unit quaternion the bridge
 read its rolling states with (see bridge.pipeline_forward); it is left out
-when that is the identity.  An optional "metadata" object (tolerance,
-seed, rho) is preserved on round-trips.
+when that is the identity.  "closed" must be true or false.  An optional
+"metadata" object (tolerance, seed, rho) is preserved on round-trips.
 """
 
 import json
@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .dancing import DancingPair, HorizontalPolygon, QDanPoint
+from .dancing import DancingPair, HorizontalPolygon
 from .geom import QUAT_ONE
 from .rolling import SphericalPolygon
 
@@ -51,9 +51,7 @@ def pair_to_doc(pair, metadata=None):
 
 
 def horizontal_to_doc(poly, metadata=None):
-    doc = {"kind": "horizontal",
-           "A": [p.A.tolist() for p in poly.points],
-           "b": [p.b.tolist() for p in poly.points],
+    doc = {"kind": "horizontal", "A": poly.A.tolist(), "b": poly.b.tolist(),
            "closed": poly.closed}
     if metadata:
         doc["metadata"] = metadata
@@ -78,6 +76,13 @@ def _check_rows(rows, name):
                  "%s entries must be nonzero 3-vectors of finite numbers" % name)
 
 
+def _closed(doc, default):
+    """The document's "closed" flag: a JSON boolean, or absent for `default`."""
+    closed = doc.get("closed", default)
+    _require(isinstance(closed, bool), "closed must be true or false, got %r" % (closed,))
+    return closed
+
+
 def check_rho(rho):
     """The radius ratio of the fixed to the rolling sphere: a finite number > 0."""
     _require(_is_number(rho) and rho > 0, "rho must be a finite number > 0, got %r" % (rho,))
@@ -93,7 +98,7 @@ def check_tol(tol):
 def doc_to_polygon(doc):
     _require(doc.get("kind") == "spherical", "expected a spherical document")
     _check_rows(doc.get("vertices"), "vertices")
-    return SphericalPolygon(doc["vertices"], closed=bool(doc.get("closed", True)),
+    return SphericalPolygon(doc["vertices"], closed=_closed(doc, True),
                             rho=check_rho(doc.get("rho", 3.0)))
 
 
@@ -107,7 +112,7 @@ def doc_to_pair(doc):
              and all(_is_number(c) for c in chart)
              and abs(np.linalg.norm(chart) - 1.0) <= CHART_NORM_TOL,
              "chart must be a unit quaternion of four finite numbers")
-    return DancingPair(doc["A"], doc["b"], closed=bool(doc.get("closed", False)),
+    return DancingPair(doc["A"], doc["b"], closed=_closed(doc, False),
                        chart=np.array(chart, dtype=float))
 
 
@@ -116,8 +121,7 @@ def doc_to_horizontal(doc):
     _check_rows(doc.get("A"), "A")
     _check_rows(doc.get("b"), "b")
     _require(len(doc["A"]) == len(doc["b"]), "A and b must have equal length")
-    points = [QDanPoint(a, b) for a, b in zip(doc["A"], doc["b"])]
-    return HorizontalPolygon(points, closed=bool(doc.get("closed", False)))
+    return HorizontalPolygon(doc["A"], doc["b"], closed=_closed(doc, False))
 
 
 def load_document(path):

@@ -291,6 +291,24 @@ class TestFamilyRoundTrip:
                 for c, v in zip(lift.classes, classes):
                     assert proj_distance(c, v) <= 1e-8
 
+    def test_lift_gives_back_the_chart_rows(self):
+        # the forward pair's rows are its points in the x = 1 chart, which
+        # the horizontal lift of the pair must give back, row by row
+        rng = np.random.default_rng(9)
+        rows = rolling.enumerate_admissible(16)
+        assert len(rows) == 67
+        for row in rows:
+            V = rolling.regular_polygon(row["n"], row["w"], row["phi"]).vertices
+            pair = bridge.pipeline_forward(V, rng.standard_normal(4))
+            poly = dancing.lift_dancing_pair(pair)
+            got, want = np.hstack([poly.A, poly.b]), np.hstack([pair.A, pair.b])
+            err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert err.max() <= 1e-9, row
+            lift = bridge.pipeline_inverse(pair)
+            n = len(V)
+            assert lift.classes.shape == lift.reps.shape == (n, 3)
+            assert lift.states.shape == (n, 4)
+
     @pytest.mark.parametrize("triple, q", [((6, 2, 4), panel_draw(24)),
                                            ((11, 4, 8), np.full(4, 0.5)),
                                            ((15, 4, 8), panel_draw(136))])

@@ -240,6 +240,21 @@ class TestDanceUndance:
         assert len(lines) == 1
         assert lines[0].startswith("non-generic configuration")
 
+    def test_undance_keeps_a_tolerance_below_1e7(self, runner, tmp_path):
+        # the worst edge defect of this pair is 2.7e-13: inside the default
+        # tolerance, outside 1e-14
+        poly = rolling.regular_polygon(14, 5, rolling.solve_phi(14, 5, 11))
+        path = write(tmp_path, "p.json", docio.polygon_to_doc(poly))
+        pair_path = str(tmp_path / "pair.json")
+        assert runner.invoke(main, ["dance", path, "--out", pair_path]).exit_code == 0
+        assert runner.invoke(main, ["undance", pair_path]).exit_code == 0
+        res = runner.invoke(main, ["undance", pair_path, "--tol", "1e-14"])
+        assert res.exit_code == 5
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("pair does not lift back (ClosureFailure)")
+
     @pytest.mark.parametrize("q_text", ["1,x,0,0", "nan,0,0,0"])
     def test_bad_q_is_one_error_line(self, runner, tmp_path, q_text):
         path = write(tmp_path, "oct2.json", octant_doc(2))
@@ -389,6 +404,35 @@ class TestMalformedDocuments:
             assert isinstance(res.exception, SystemExit)  # no traceback
             lines = res.output.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("Error: tol "), argv
+
+    def command_error(self, runner, *argv):
+        res = runner.invoke(main, list(argv))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        return lines[0]
+
+    def test_dance_on_two_vertices(self, runner, tmp_path):
+        doc = dict(octant_doc(), vertices=[[1, 0, 0], [0, 1, 0]])
+        line = self.command_error(runner, "dance", write(tmp_path, "two.json", doc))
+        assert "three" in line
+
+    def test_undance_on_one_row(self, runner, tmp_path):
+        doc = {"kind": "dancing-pair", "A": [[1, 0, 0]], "b": [[0, 1, 0]],
+               "closed": True}
+        line = self.command_error(runner, "undance", write(tmp_path, "one.json", doc))
+        assert "two" in line
+
+    @pytest.mark.parametrize("command", ["dance", "verify"])
+    def test_closed_must_be_a_boolean(self, runner, tmp_path, command):
+        doc = octant_doc(2)
+        if command == "verify":
+            pair = bridge.pipeline_forward([EX, EY, EZ] * 2, [0.5, 0.5, 0.5, 0.5])
+            doc = docio.pair_to_doc(pair)
+        path = write(tmp_path, "doc.json", dict(doc, closed="false"))
+        line = self.command_error(runner, command, path)
+        assert "closed" in line
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_ode_steps_below_one(self, runner, tmp_path, steps):

@@ -83,7 +83,7 @@ class TestLift:
         for _ in range(20):
             hp = dc.random_horizontal_chain(2, rng=rng)
             p, q = hp.points
-            l1, l2 = dc.lift_inscribed_2gon(p.A, p.b, q.A, q.b)
+            l1, l2 = dc.lift_dancing_pair(dc.DancingPair([p.A, q.A], [p.b, q.b])).points
             # the unique lift reproduces the chain points exactly
             assert l1.distance(p) <= 1e-8 * max(1.0, np.linalg.norm(p.coords()))
             assert l2.distance(q) <= 1e-8 * max(1.0, np.linalg.norm(q.coords()))
@@ -95,7 +95,7 @@ class TestLift:
         q = dc.random_qdan_point(rng)
         # generic pairs are not inscribed
         with pytest.raises((NotInscribed, dc.DancingError)):
-            dc.lift_inscribed_2gon(p.A, p.b, q.A, q.b)
+            dc.lift_dancing_pair(dc.DancingPair([p.A, q.A], [p.b, q.b]))
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8])
     def test_lift_project_roundtrip(self, n):
@@ -217,10 +217,11 @@ class TestSmallN:
 class TestRowArrays:
     """A pair stores A and b as (n, 3) float arrays and refuses anything else."""
 
+    cls = dc.DancingPair
     GOOD = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
     def test_rows_are_one_array(self):
-        pair = dc.DancingPair([np.array(r) for r in self.GOOD], self.GOOD)
+        pair = self.cls([np.array(r) for r in self.GOOD], self.GOOD)
         for rows in (pair.A, pair.b):
             assert isinstance(rows, np.ndarray)
             assert rows.shape == (3, 3) and rows.dtype == float
@@ -233,10 +234,16 @@ class TestRowArrays:
     def test_malformed_rows(self, rows):
         good = self.GOOD[:len(rows)]
         with pytest.raises(ValueError):
-            dc.DancingPair(rows, good)
+            self.cls(rows, good)
         with pytest.raises(ValueError):
-            dc.DancingPair(good, rows)
+            self.cls(good, rows)
 
     def test_unequal_lengths(self):
         with pytest.raises(ValueError):
-            dc.DancingPair(self.GOOD, self.GOOD[:2])
+            self.cls(self.GOOD, self.GOOD[:2])
+
+
+class TestHorizontalRowArrays(TestRowArrays):
+    """A horizontal polygon shares the pair's rows and their checks."""
+
+    cls = dc.HorizontalPolygon
