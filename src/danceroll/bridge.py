@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dancing import (
+    DANCING_TOL,
     DancingPair,
     QDanPoint,
     dancing_residual,
@@ -34,6 +35,7 @@ from .errors import (
 )
 from .geom import (
     QUAT_ONE,
+    _complement,
     _cross,
     _dot,
     as_vec3,
@@ -48,6 +50,7 @@ from .rolling import projective_edge_monodromy
 
 GENERIC_MARGIN = 1e-8  # least |x| (on unit representatives) counted as generic
 CONE_TOL = 1e-8
+STATE_NORM_TOL = 1e-7  # largest | |q| - 1 | of a quaternion phi_inv recovers
 
 
 def _check_null(z, tol=CONE_TOL):
@@ -92,7 +95,7 @@ def phi(v, q):
     return ImOctonion(x, v + im, v - im)
 
 
-def phi_inv(z, tol=1e-9):
+def phi_inv(z):
     """Rolling state (v, q) on the ray of z; requires A + b away from zero.
 
     The representative is rescaled so that |A + b| = 2 (a positive scaling,
@@ -109,7 +112,7 @@ def phi_inv(z, tol=1e-9):
     v = [0.5 * (p + r) for p, r in zip(A, b)]
     s = 0.25 * (_dot(A, A) - _dot(b, b))
     w = [0.5 * c - x * vc for c, vc in zip(_cross(A, b), v)]
-    if abs(math.hypot(s, *w) - 1.0) > max(tol, 1e-7):
+    if abs(math.hypot(s, *w) - 1.0) > STATE_NORM_TOL:
         raise DegenerateRay("recovered quaternion is not unit")
     return np.array(v), quat(s, w)
 
@@ -124,9 +127,8 @@ def horizontal_state_directions(v, q, rho=3.0):
     """
     v = as_vec3(v)
     q = np.asarray(q, dtype=float)
-    u, s, vt = np.linalg.svd(v.reshape(1, 3))
     out = []
-    for dv in (vt[1], vt[2]):
+    for dv in _complement(v.tolist()):
         omega = (1.0 + rho) * np.cross(v, dv)
         dq = 0.5 * quat_mul(quat(0.0, omega), q)
         out.append((dv, dq))
@@ -190,7 +192,7 @@ def _chart_margins(reps, states, charts):
     return np.abs(x) / np.sqrt(4.0 - x * x)
 
 
-def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8, dancing_tol=1e-6):
+def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8):
     """From a closed polygon of contact classes (with trivial lifted
     monodromy) and a start quaternion to the closed dancing pair traced by
     the second plane.
@@ -237,7 +239,7 @@ def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8, dancing_tol=1e-6):
                        closed=True, chart=chart)
     for i in pair.vertex_indices():
         r = dancing_residual(pair, i)
-        if abs(r) > dancing_tol:
+        if abs(r) > DANCING_TOL:
             raise NotDancing("dancing residual %.3g at vertex %d" % (r, i))
     if not is_nondegenerate(pair):
         raise DegenerateConfiguration("transported pair fails genericity")

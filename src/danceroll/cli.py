@@ -254,7 +254,7 @@ def cmd_verify(pair_file, tol):
             click.echo("edge %d: degenerate (%s)" % (i, exc))
             failed.append(i)
             continue
-        ok = r <= max(tol, 1e-8)
+        ok = r <= tol
         click.echo("edge %d: inscribed residual %.3g  %s"
                    % (i, r, "ok" if ok else "FAIL"))
         if not ok:

@@ -38,6 +38,7 @@ from .errors import (
 from .geom import (
     QUAT_ONE,
     TOL,
+    _complement,
     _cross,
     _dot,
     _unit_rep,
@@ -138,10 +139,7 @@ def dan_distribution_basis(p):
     """Two independent tangent directions (Adot, bdot) spanning the rank-2
     plane at p: bdot = A x Adot with b Adot = 0 (tangency to the quadric
     is then automatic, since (A x Adot) A = 0)."""
-    b = p.b / np.linalg.norm(p.b)
-    # two unit vectors spanning ker(b)
-    u, s, vt = np.linalg.svd(b.reshape(1, 3))
-    k1, k2 = vt[1], vt[2]
+    k1, k2 = _complement(_unit_rep(p.b))  # two unit vectors spanning ker(b)
     return [(k1, np.cross(p.A, k1)), (k2, np.cross(p.A, k2))]
 
 
@@ -241,7 +239,7 @@ def _lift_edge(a1, b1, a2, b2, tol=TOL):
             [x2 * c for c in A2] + [c / x2 for c in b2])
 
 
-def lift_dancing_pair(pair, tol=DANCING_TOL):
+def lift_dancing_pair(pair):
     """Lift a dancing pair to the horizontal polygon it projects from.
 
     Each edge i (cyclically for a closed pair) is lifted on its own by
@@ -251,14 +249,14 @@ def lift_dancing_pair(pair, tol=DANCING_TOL):
     the pair dances there; their largest relative disagreement |Q - P| /
     |(A, b)| is the certificate, and above LIFT_TOL ClosureFailure names its
     vertex and value.  NotDancing is raised first when a dancing residual
-    exceeds tol.
+    exceeds DANCING_TOL.
     """
     n = len(pair)
     if n < 2:
         raise ValueError("need at least two vertices")
     for i in pair.vertex_indices():
         r = dancing_residual(pair, i)
-        if abs(r) > tol:
+        if abs(r) > DANCING_TOL:
             raise NotDancing("dancing residual %.3g at vertex %d" % (r, i))
     A, b = pair.A.tolist(), pair.b.tolist()
     edges = [_lift_edge(A[i], b[i], A[(i + 1) % n], b[(i + 1) % n])

@@ -1,13 +1,11 @@
 """JSON document schemas for polygons.
 
-Three kinds of document:
+Two kinds of document:
 
     {"kind": "spherical", "rho": 3, "vertices": [[x,y,z], ...], "closed": true}
     {"kind": "dancing-pair", "A": [[...], ...], "b": [[...], ...], "closed": true}
-    {"kind": "horizontal", "A": [[...], ...], "b": [[...], ...], "closed": true}
 
-with homogeneous coordinates for the planar kinds; horizontal documents
-carry the exact lifted (A, b) representatives per vertex.  A dancing-pair
+with homogeneous coordinates for the dancing pair.  A dancing-pair
 document may carry "chart": [s, x, y, z], the unit quaternion the bridge
 read its rolling states with (see bridge.pipeline_forward); it is left out
 when that is the identity.  "closed" must be true or false.  An optional
@@ -20,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .dancing import DancingPair, HorizontalPolygon
+from .dancing import DancingPair
 from .geom import QUAT_ONE
 from .rolling import SphericalPolygon
 
@@ -45,14 +43,6 @@ def pair_to_doc(pair, metadata=None):
            "b": pair.b.tolist(), "closed": pair.closed}
     if not np.array_equal(pair.chart, QUAT_ONE):
         doc["chart"] = [float(c) for c in pair.chart]
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
-
-
-def horizontal_to_doc(poly, metadata=None):
-    doc = {"kind": "horizontal", "A": poly.A.tolist(), "b": poly.b.tolist(),
-           "closed": poly.closed}
     if metadata:
         doc["metadata"] = metadata
     return doc
@@ -114,14 +104,6 @@ def doc_to_pair(doc):
              "chart must be a unit quaternion of four finite numbers")
     return DancingPair(doc["A"], doc["b"], closed=_closed(doc, False),
                        chart=np.array(chart, dtype=float))
-
-
-def doc_to_horizontal(doc):
-    _require(doc.get("kind") == "horizontal", "expected a horizontal document")
-    _check_rows(doc.get("A"), "A")
-    _check_rows(doc.get("b"), "b")
-    _require(len(doc["A"]) == len(doc["b"]), "A and b must have equal length")
-    return HorizontalPolygon(doc["A"], doc["b"], closed=_closed(doc, False))
 
 
 def load_document(path):

@@ -9,12 +9,13 @@ no-slip and no-twist constraints
 with omega the space-frame angular velocity of g, force
 omega = (1 + rho) v x vdot for a unit contact point v.  The Euler-angle
 rates are then M^-1 omega, with M the rate-to-omega matrix, in closed form.
-The integrator reads omega from the sampled contact curve at every RK4
-stage.  The lifted quaternion is read from the Euler half-angles in closed
-form, qz(gamma/2) qy(beta/2) qx(alpha/2), which is continuous in the
-integrated angles and so fixes the sign of the lift without sampling;
-integrating around a polygon must reproduce the quaternion monodromy
-computed algebraically edge by edge, sign included.
+Along a great-circle arc v x vdot is the arc's unit normal, so omega is
+constant and the integrator takes it once per arc; the Euler-angle ODE it
+integrates stays nonlinear.  The lifted quaternion is read from the Euler
+half-angles in closed form, qz(gamma/2) qy(beta/2) qx(alpha/2), which is
+continuous in the integrated angles and so fixes the sign of the lift
+without sampling; integrating around a polygon must reproduce the
+quaternion monodromy computed algebraically edge by edge, sign included.
 
 The chart is singular at beta = +-pi/2 (the rate-to-omega matrix has
 determinant cos beta) and the spherical chart at sin theta = 0.  The
@@ -174,8 +175,9 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
     back at the end.  The lifted quaternion is read from the Euler
     half-angles (see _euler_lift), times the lifts of the charts left at
     each re-seat, so no sign has to be chosen by continuity.  `record`, if
-    a list, receives (t, state, rates) samples in the original frame's
-    spherical chart for diagnostics.
+    a list, receives a (t, state, rates) sample after each step, in the
+    spherical chart of the conjugated frame, for diagnostics; the contact
+    point and its velocity are computed only for those samples.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1, got %r" % (steps,))
@@ -189,31 +191,19 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
     eb = _cross(n0, ea)
 
     h = angle / steps
-    # contact point and velocity at half-step resolution, column by column,
-    # and the angular velocity that no slip and no twist force there, as
-    # float tuples so the inner loop does float arithmetic, not numpy scalars
-    ts = np.arange(2 * steps + 1) * (0.5 * h)
-    cs, ss = np.cos(ts), np.sin(ts)
-    vx, vy, vz = (cs * ea[i] + ss * eb[i] for i in range(3))
-    dx, dy, dz = (cs * eb[i] - ss * ea[i] for i in range(3))
-    c = 1.0 + rho
-    ws = list(zip((c * (vy * dz - vz * dy)).tolist(),
-                  (c * (vz * dx - vx * dz)).tolist(),
-                  (c * (vx * dy - vy * dx)).tolist()))
-    if record is not None:
-        samples = np.stack([vx, vy, vz, dx, dy, dz], axis=1)[2::2].tolist()
-
+    # no slip and no twist force omega = (1 + rho) v x vdot, and along the
+    # arc v x vdot = ea x eb = n0, so omega is the constant (1 + rho) n0
+    w = tuple((1.0 + rho) * x for x in n0)
     a, b, g = 0.0, 0.0, 0.0
     # the lifts of the re-seated charts, times the frame quaternion qc
     q_off = qc
     hh, h6 = 0.5 * h, h / 6.0
 
     for k in range(steps):
-        w_mid = ws[2 * k + 1]
-        a1, b1, g1 = _rates_from_omega(b, g, ws[2 * k])
-        a2, b2, g2 = _rates_from_omega(b + hh * b1, g + hh * g1, w_mid)
-        a3, b3, g3 = _rates_from_omega(b + hh * b2, g + hh * g2, w_mid)
-        a4, b4, g4 = _rates_from_omega(b + h * b3, g + h * g3, ws[2 * k + 2])
+        a1, b1, g1 = _rates_from_omega(b, g, w)
+        a2, b2, g2 = _rates_from_omega(b + hh * b1, g + hh * g1, w)
+        a3, b3, g3 = _rates_from_omega(b + hh * b2, g + hh * g2, w)
+        a4, b4, g4 = _rates_from_omega(b + h * b3, g + h * g3, w)
         a += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         b += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         g += h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
@@ -221,13 +211,16 @@ def integrate_arc(v_start, normal, angle, rho=3.0, steps=10000, record=None):
             q_off = quat_mul(_euler_lift(a, b, g), q_off)
             a, b, g = 0.0, 0.0, 0.0
         if record is not None:
-            v, vd = samples[k][:3], samples[k][3:]
+            t = (k + 1) * h
+            ct, st = math.cos(t), math.sin(t)
+            v = [ct * x + st * y for x, y in zip(ea, eb)]
+            vd = [ct * y - st * x for x, y in zip(ea, eb)]
             theta = math.acos(max(-1.0, min(1.0, v[2])))
             phi = math.atan2(v[1], v[0])
             rates = solve_euler_rates(b, g, v, vd, rho)
             st2 = v[0] * v[0] + v[1] * v[1]
             record.append((
-                ts[2 * k + 2],
+                t,
                 (theta, phi, a, b, g),
                 (-vd[2] / math.sqrt(st2) if st2 > 1e-12 else 0.0,
                  (v[0] * vd[1] - v[1] * vd[0]) / st2 if st2 > 1e-12 else 0.0,

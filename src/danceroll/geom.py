@@ -53,6 +53,20 @@ def _unit_rep(v, tol=TOL):
     return (x / n, y / n, z / n)
 
 
+def _complement(u):
+    """Two unit vectors completing the unit 3-vector u to an orthonormal
+    basis, as the rows of a (2, 3) array (Duff et al., "Building an
+    Orthonormal Basis, Revisited", JCGT 2017).  The branch on the sign of
+    u_z keeps 1 / (sign + u_z) away from a pole; at u = e_x the rows are
+    exactly (0, 0, -1) and (0, 1, 0)."""
+    x, y, z = u
+    sign = math.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return np.array([(1.0 + sign * x * x * a, sign * b, -sign * x),
+                     (b, sign + y * y * a, -y)])
+
+
 def vec_cross(a1, a2):
     """Cross product of two column vectors, read as a covector.
 

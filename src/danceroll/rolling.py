@@ -96,7 +96,7 @@ def edge_angle(v1, v2):
     return float(np.arctan2(np.linalg.norm(np.cross(v1, v2)), v1 @ v2))
 
 
-def edge_monodromy(v1, v2, rho=3.0, tol=TOL):
+def edge_monodromy(v1, v2, rho=3.0):
     """Lifted monodromy of rolling along the minor arc from v1 to v2."""
     v1 = as_vec3(v1)
     v2 = as_vec3(v2)
@@ -153,7 +153,7 @@ def closed_form_monodromy(n, w, phi):
     poly = regular_polygon(n, w, phi, rho=3.0)
     theta = 2.0 * np.pi * w / n
     q = quat_exp(np.array([0.0, 0.0, 1.0]), theta / 2.0)
-    g0 = edge_monodromy(poly.vertices[0], poly.vertices[1], 3.0)
+    g0 = projective_edge_monodromy(poly.vertices[0], poly.vertices[1])
     p = quat_mul(quat_conj(q), g0)
     acc = QUAT_ONE.copy()
     for _ in range(n):
@@ -169,7 +169,7 @@ def wprime_angle_residual(n, w, wprime, phi):
                  - np.cos(a) * (1.0 - 4.0 * np.sin(a) ** 2 * np.sin(phi) ** 2))
 
 
-def solve_phi(n, w, wprime, iters=200):
+def solve_phi(n, w, wprime):
     """Colatitude solving the closure relation, or None if out of range.
 
     The right-hand side decreases strictly in phi from cos(pi w/n) to
@@ -187,14 +187,12 @@ def solve_phi(n, w, wprime, iters=200):
     if not (np.cos(3 * a) + eps < target < np.cos(a) - eps):
         return None
     lo, hi = 0.0, np.pi / 2  # residual: negative at lo, positive at hi
-    for _ in range(iters):
+    while hi - lo >= 1e-15:  # 51 halvings from pi/2
         mid = 0.5 * (lo + hi)
         if wprime_angle_residual(n, w, wprime, mid) > 0.0:
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-15:
-            break
     return 0.5 * (lo + hi)
 
 
@@ -242,7 +240,7 @@ def omega_from_rotation_rate(g, gdot):
     return np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]]) / 2.0
 
 
-def droll_membership(v, g, vdot, gdot, rho=3.0, tol=1e-8):
+def droll_membership(v, g, vdot, gdot, rho=3.0):
     """No-slip and no-twist residuals of a velocity at a rolling state."""
     v = as_vec3(v)
     if abs(np.linalg.norm(v) - 1.0) > 1e-6:

@@ -309,6 +309,25 @@ class TestFamilyRoundTrip:
             assert lift.classes.shape == lift.reps.shape == (n, 3)
             assert lift.states.shape == (n, 4)
 
+    def test_closed_dancing_polygons_for_every_n_from_6(self):
+        # the abstract's claim: closed dancing n-gons exist for every n >= 6;
+        # the first admissible regular n-gon of each n round-trips from q = 1
+        # and from two seeded starts
+        rows = rolling.enumerate_admissible(40)
+        first = {}
+        for row in rows:
+            first.setdefault(row["n"], row)
+        assert sorted(first) == list(range(6, 41))
+        rng = np.random.default_rng(6)
+        for n, row in first.items():
+            V = rolling.regular_polygon(n, row["w"], row["phi"]).vertices
+            for q in [QUAT_ONE] + [rng.standard_normal(4) for _ in range(2)]:
+                q = q / np.linalg.norm(q)
+                pair = bridge.pipeline_forward(V, q)
+                assert dancing.is_nondegenerate(pair), (n, q)
+                s = bridge.pipeline_inverse(pair).start_quaternion
+                assert min(quat_distance(s, q), quat_distance(s, -q)) <= 1e-8, (n, q)
+
     @pytest.mark.parametrize("triple, q", [((6, 2, 4), panel_draw(24)),
                                            ((11, 4, 8), np.full(4, 0.5)),
                                            ((15, 4, 8), panel_draw(136))])

@@ -51,13 +51,6 @@ class TestDocio:
         assert all(np.allclose(a, b) for a, b in zip(pair.A, pair2.A))
         assert all(np.allclose(a, b) for a, b in zip(pair.b, pair2.b))
 
-    def test_horizontal_roundtrip(self):
-        hp = dancing.random_horizontal_chain(4, seed=2)
-        doc = docio.horizontal_to_doc(hp)
-        hp2 = docio.doc_to_horizontal(json.loads(docio.dump_document(doc)))
-        for p, q in zip(hp.points, hp2.points):
-            assert p.distance(q) <= 1e-15
-
     def test_schema_validation(self):
         with pytest.raises(docio.DocumentError):
             docio.doc_to_polygon({"kind": "spherical", "vertices": [[1, 0]]})
@@ -341,6 +334,18 @@ class TestVerify:
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "edge 0: degenerate (" in res.output
 
+    def test_tol_below_1e_8_reaches_the_inscribed_check(self, runner, tmp_path):
+        # the hexagon's inscribed residuals are 1e-17 to 2e-16: --tol 1e-17
+        # must fail each of them, and the default --tol passes them all
+        poly = rolling.regular_polygon(6, 2, rolling.solve_phi(6, 2, 4))
+        pair = bridge.pipeline_forward(poly.vertices, np.full(4, 0.5))
+        path = write(tmp_path, "hex.json", docio.pair_to_doc(pair))
+        res = runner.invoke(main, ["verify", path, "--tol", "1e-17"])
+        assert res.exit_code == 1
+        edges = [line for line in res.output.splitlines() if line.startswith("edge ")]
+        assert len(edges) == 6 and all(line.endswith("FAIL") for line in edges)
+        assert runner.invoke(main, ["verify", path]).exit_code == 0
+
 
 class TestMalformedDocuments:
     """A malformed document ends a command with one line and exit code 1."""
@@ -484,3 +489,10 @@ class TestScripts:
     def test_enumerate_triples(self):
         out = self.run_script("enumerate_triples.py")
         assert "67 triples, 14 minimal, hexagon sin^2(phi) = 0.666666666666667" in out
+
+    def test_ode_vs_quaternion(self):
+        out = self.run_script("ode_vs_quaternion.py", "--edges", "5")
+        assert "full equator at rho=3.0: lift scalar +1.000000000 (expected +1)" in out
+        assert "full equator at rho=2.0: lift scalar -1.000000000 (expected -1)" in out
+        # a row of the convergence table: steps, error, observed order
+        assert any(line.split()[2:] == ["4.00"] for line in out.splitlines())

@@ -116,6 +116,32 @@ class TestProjective:
         assert abs(b1 @ pt) < 1e-12 and abs(b2 @ pt) < 1e-12
 
 
+UNIT_VECS = st.lists(st.floats(-1, 1), min_size=3, max_size=3).map(
+    np.array).filter(lambda v: np.linalg.norm(v) > 1e-2).map(
+    lambda v: v / np.linalg.norm(v))
+
+
+def assert_completes(u):
+    basis = np.vstack([u, geom._complement(list(u))])
+    assert np.abs(basis @ basis.T - np.eye(3)).max() <= 1e-15
+
+
+class TestComplement:
+    @pytest.mark.parametrize("u", [s * e for s in (1.0, -1.0) for e in np.eye(3)]
+                             + [[1.0, 0.0, -0.0], [0.6, 0.8, 0.0], [0.6, 0.8, -0.0]])
+    def test_axes_and_signed_zero(self, u):
+        assert_completes(np.array(u))
+
+    def test_exact_at_first_axis(self):
+        assert geom._complement([1.0, 0.0, 0.0]).tolist() == [[0.0, 0.0, -1.0],
+                                                                [0.0, 1.0, 0.0]]
+
+    @given(UNIT_VECS)
+    @settings(max_examples=50, deadline=None)
+    def test_orthonormal(self, u):
+        assert_completes(u)
+
+
 UNIT_QUATS = st.lists(st.floats(-1, 1), min_size=4, max_size=4).map(
     np.array).filter(lambda q: np.linalg.norm(q) > 1e-2).map(
     lambda q: q / np.linalg.norm(q))
