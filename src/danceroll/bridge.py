@@ -16,21 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dancing import (
-    DANCING_TOL,
-    DancingPair,
-    QDanPoint,
-    dancing_residual,
-    is_nondegenerate,
-    lift_dancing_pair,
-)
+from .dancing import DancingPair, QDanPoint, is_nondegenerate, lift_dancing_pair
 from .errors import (
     ClosureFailure,
     DegenerateConfiguration,
     DegenerateRay,
     NonGeneric,
     NontrivialMonodromy,
-    NotDancing,
     NotOnCone,
 )
 from .geom import (
@@ -51,6 +43,8 @@ from .rolling import projective_edge_monodromy
 GENERIC_MARGIN = 1e-8  # least |x| (on unit representatives) counted as generic
 CONE_TOL = 1e-8
 STATE_NORM_TOL = 1e-7  # largest | |q| - 1 | of a quaternion phi_inv recovers
+STATE_CHART_TOL = 1e-8  # least |A + b| / |z| of a ray phi_inv reads as a state
+CLASS_TRIPLE_DET = 1e-10  # least |det| of consecutive unit contact classes
 
 
 def _check_null(z, tol=CONE_TOL):
@@ -69,15 +63,15 @@ def iota(p):
     return z
 
 
-def iota_inv(z, margin=GENERIC_MARGIN):
+def iota_inv(z):
     """Chart inverse of iota on rays with x bounded away from zero.
 
-    The input ray must avoid the x = 0 hyperplane by at least `margin`
+    The input ray must avoid the x = 0 hyperplane by at least GENERIC_MARGIN
     after normalizing the representative to unit length; otherwise the ray
     has no dancing-chart image and NonGeneric is raised.
     """
     _check_null(z)
-    if _chart_margin(z) < margin:
+    if _chart_margin(z) < GENERIC_MARGIN:
         raise NonGeneric("ray too close to the x = 0 hyperplane")
     return QDanPoint(z.A / z.x, z.b / z.x)
 
@@ -105,7 +99,7 @@ def phi_inv(z):
     _check_null(z)
     A, b = z.A.tolist(), z.b.tolist()
     m = math.hypot(*(p + r for p, r in zip(A, b)))
-    if m <= 1e-8 * z.norm():
+    if m <= STATE_CHART_TOL * z.norm():
         raise DegenerateRay("ray outside the image of the state chart (A + b = 0)")
     k = 2.0 / m
     A, b, x = [k * c for c in A], [k * c for c in b], k * z.x
@@ -153,13 +147,14 @@ class RollingLift:
         return self.states[0]
 
 
-def _class_polygon_checks(classes, det_tol=1e-10):
+def _class_polygon_checks(classes):
     n = len(classes)
     if n < 3:
         raise ValueError("need at least three contact classes")
     rows = [c.tolist() for c in classes]
     for i in range(n):
-        if abs(_dot(_cross(rows[i], rows[(i + 1) % n]), rows[(i + 2) % n])) <= det_tol:
+        det = _dot(_cross(rows[i], rows[(i + 1) % n]), rows[(i + 2) % n])
+        if abs(det) <= CLASS_TRIPLE_DET:
             raise DegenerateConfiguration(
                 "consecutive contact classes nearly on a great circle at %d" % i)
 
@@ -212,12 +207,15 @@ def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8):
     built only for the n chosen states.  So q = 1 on the doubled octant,
     whose vertex states all have x = 0, still yields a dancing pair.
 
-    Raises NontrivialMonodromy when the lifted monodromy is not exactly
-    trivial, NonGeneric when no candidate chart keeps every vertex state
-    off the x = 0 hyperplane of the cone chart, NotDancing when the output
-    fails the dancing condition, and DegenerateConfiguration when the
-    contact classes or the output fail the genericity the dancing condition
-    needs.
+    The pair is returned only when lift_dancing_pair takes it back, so
+    pipeline_inverse accepts whatever this writes up to its own transport
+    check.  Raises NontrivialMonodromy when the lifted monodromy is not
+    exactly trivial, NonGeneric when no candidate chart keeps every vertex
+    state off the x = 0 hyperplane of the cone chart, ClosureFailure or
+    NotInscribed when the output does not lift to a closed horizontal
+    polygon (the monodromy defect, up to monodromy_tol, lands on the closing
+    vertex), and DegenerateConfiguration when the contact classes or the
+    output fail the genericity the dancing condition needs.
     """
     reps = [normalize_rep(c) for c in classes]
     _class_polygon_checks(reps)
@@ -237,10 +235,7 @@ def pipeline_forward(classes, q=QUAT_ONE, monodromy_tol=1e-8):
     points = [iota_inv(phi(v, quat_mul(s, chart))) for v, s in zip(reps, states)]
     pair = DancingPair([p.A for p in points], [p.b for p in points],
                        closed=True, chart=chart)
-    for i in pair.vertex_indices():
-        r = dancing_residual(pair, i)
-        if abs(r) > DANCING_TOL:
-            raise NotDancing("dancing residual %.3g at vertex %d" % (r, i))
+    lift_dancing_pair(pair)
     if not is_nondegenerate(pair):
         raise DegenerateConfiguration("transported pair fails genericity")
     return pair
@@ -270,9 +265,9 @@ def pipeline_inverse(pair, monodromy_tol=1e-8):
     for i in range(n):
         v1, v2 = reps[i], reps[(i + 1) % n]
         mu = projective_edge_monodromy(v1, v2)
-        expected = quat_mul(mu, qs[i])
-        if quat_distance(expected, qs[(i + 1) % n]) > monodromy_tol:
-            raise ClosureFailure(
-                "edge %d does not transport the recovered state" % i)
+        defect = quat_distance(quat_mul(mu, qs[i]), qs[(i + 1) % n])
+        if defect > monodromy_tol:
+            raise ClosureFailure("edge %d does not transport the recovered state: "
+                                 "defect %.2g > tol %.2g" % (i, defect, monodromy_tol))
     classes = np.array([normalize_rep(v) for v in reps])
     return RollingLift(classes, reps, qs)

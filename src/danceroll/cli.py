@@ -18,14 +18,13 @@ import numpy as np
 
 from . import bridge, docio, eulerroll, rolling, svg
 from .dancing import (NONDEG_DET, dancing_residual, inscribed_residual,
-                      nondegeneracy_report)
+                      lift_dancing_pair, nondegeneracy_report)
 from .errors import (
     ClosureFailure,
     DancerollError,
     DegenerateConfiguration,
     NonGeneric,
     NontrivialMonodromy,
-    NotDancing,
     NotInscribed,
 )
 from .geom import quat_distance
@@ -36,9 +35,10 @@ EXIT_CODES = {
     NonGeneric: (4, "non-generic configuration"),
     DegenerateConfiguration: (4, "non-generic configuration"),
     ClosureFailure: (5, "pair does not lift back"),
-    NotDancing: (5, "pair does not lift back"),
     NotInscribed: (5, "pair does not lift back"),
 }
+
+ROLL_SINE_MARGIN = 1e-9  # least edge sine |v_i x v_{i+1}| that roll accepts
 
 
 @click.group()
@@ -146,7 +146,7 @@ def cmd_roll(polygon_file, rho, method, verify, steps, tol):
     if rho is not None:
         poly.rho = _checked(docio.check_rho, rho)
     det_margin, sine_margin = poly.nondegeneracy_margin()
-    if sine_margin <= 1e-9:
+    if sine_margin <= ROLL_SINE_MARGIN:
         click.echo("degenerate polygon: an edge has parallel endpoints", err=True)
         sys.exit(2)
     report = rolling.polygon_monodromy(poly)
@@ -182,7 +182,8 @@ def cmd_dance(polygon_file, q_text, out, svg_path, chart, tol):
     """Transport a trivial-monodromy spherical polygon to a dancing pair.
 
     Exits 2 on nontrivial monodromy, 4 on a non-generic configuration and
-    5 when the transported pair fails the dancing condition."""
+    5 when the transported pair does not lift back to a closed horizontal
+    polygon, so undance takes back every pair that dance writes."""
     tol = _checked(docio.check_tol, tol)
     poly = _load(polygon_file, docio.doc_to_polygon)
     q = _checked(docio.parse_quaternion, q_text)
@@ -229,23 +230,24 @@ def cmd_undance(pair_file, out, tol):
 
 @main.command("verify")
 @click.argument("pair_file", type=click.Path(exists=True))
-@click.option("--tol", type=float, default=1e-6, show_default=True)
+@click.option("--tol", type=float, default=1e-6, show_default=True,
+              help="largest inscribed residual accepted")
 def cmd_verify(pair_file, tol):
-    """Check the dancing condition and genericity of a dancing-pair file."""
+    """Check the dancing condition and genericity of a dancing-pair file.
+
+    Prints each vertex's dancing residual, each edge's inscribed residual
+    against --tol, the lift's verdict (the pair dances when it lifts to a
+    horizontal polygon, the test dance and undance apply) and the
+    non-degeneracy margin; exits 1 when any of them fails."""
     tol = _checked(docio.check_tol, tol)
     pair = _load(pair_file, docio.doc_to_pair)
     failed = []
     for i in pair.vertex_indices():
         try:
-            r = abs(dancing_residual(pair, i))
+            click.echo("vertex %d: dancing residual %.3g"
+                       % (i, abs(dancing_residual(pair, i))))
         except DancerollError as exc:
             click.echo("vertex %d: degenerate (%s)" % (i, exc))
-            failed.append(i)
-            continue
-        ok = r <= tol
-        click.echo("vertex %d: dancing residual %.3g  %s"
-                   % (i, r, "ok" if ok else "FAIL"))
-        if not ok:
             failed.append(i)
     for i in pair.edge_indices():
         try:
@@ -259,6 +261,12 @@ def cmd_verify(pair_file, tol):
                    % (i, r, "ok" if ok else "FAIL"))
         if not ok:
             failed.append(i)
+    try:
+        lift_dancing_pair(pair)
+        click.echo("lift: ok")
+    except (DancerollError, ValueError) as exc:
+        click.echo("lift: FAIL (%s: %s)" % (type(exc).__name__, exc))
+        failed.append(-1)
     off_edge, tri_v, tri_b = nondegeneracy_report(pair)
     m = min([1.0] + tri_v + tri_b + off_edge)
     ok = m > NONDEG_DET

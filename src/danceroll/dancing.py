@@ -32,7 +32,6 @@ from .errors import (
     DegenerateConfiguration,
     DegenerateQuadruple,
     NotCollinear,
-    NotDancing,
     NotInscribed,
 )
 from .geom import (
@@ -52,9 +51,9 @@ from .geom import (
     vec_cross,
 )
 
-DANCING_TOL = 1e-6  # default acceptance level for the dancing residual
 LIFT_TOL = 1e-8  # largest relative disagreement of consecutive edge lifts
 NONDEG_DET = 1e-9  # non-degeneracy: |det| of normalized triples, |b_i . A_i|
+INSCRIBED_TOL = 1e-7  # largest |chord . n| / |n| per max(1, |chord|) of a 2-gon lift
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def _cyclic_rows(X, i, k):
     return rows
 
 
-def dancing_residual(pair, i, tol=TOL):
+def dancing_residual(pair, i):
     """Value of the dancing condition at vertex i (zero iff it holds)."""
     n = len(pair)
     if not pair.closed and i > n - 3:
@@ -169,7 +168,7 @@ def dancing_residual(pair, i, tol=TOL):
     a1, a2 = _cross(A1, A2), _cross(A2, A3)
     C, D = _cross(b1, a2), _cross(b3, a1)
     try:
-        return cross_ratio(A2, B1, A1, D, tol) + cross_ratio(A2, B2, A3, C, tol)
+        return cross_ratio(A2, B1, A1, D) + cross_ratio(A2, B2, A3, C)
     except (NotCollinear, DegenerateQuadruple, ValueError) as exc:
         raise DegenerateConfiguration(str(exc)) from exc
 
@@ -204,21 +203,21 @@ def is_nondegenerate(pair, det_tol=NONDEG_DET):
             (not tri_b or min(tri_b) > det_tol))
 
 
-def _lift_edge(a1, b1, a2, b2, tol=TOL):
+def _lift_edge(a1, b1, a2, b2):
     """The unique horizontal lift of an inscribed 2-gon, as two 6-float rows.
 
     With unit edges b_i and vertices scaled to b_i A_i = 1, the chord
     normal A_1 x A_2 lies in the pencil of b_1 and b_2: that is the
-    inscribed hypothesis, tested as |chord . n| / |n| <= 1e-7 max(1, |chord|)
-    with n = b_1 x b_2.  Its coordinates lam1 = [chord, b_2], lam2 =
-    [b_1, chord] in the brackets of geom._line_coords give the lift
+    inscribed hypothesis, tested as |chord . n| / |n| <= INSCRIBED_TOL
+    max(1, |chord|) with n = b_1 x b_2.  Its coordinates lam1 = [chord, b_2],
+    lam2 = [b_1, chord] in the brackets of geom._line_coords give the lift
     (x_1 A_1, b_1 / x_1), (x_2 A_2, b_2 / x_2) with x_1 = cbrt(lam2 / lam1^2)
     and x_2 = -cbrt(lam1 / lam2^2), whatever the representatives' signs.
     A vertex within NONDEG_DET of its own edge is refused, the same margin
     is_nondegenerate demands.
     """
     a1, a2, b1, b2 = (_unit_rep(v) for v in (a1, a2, b1, b2))
-    if math.hypot(*_cross(a1, a2)) <= tol or math.hypot(*_cross(b1, b2)) <= tol:
+    if math.hypot(*_cross(a1, a2)) <= TOL or math.hypot(*_cross(b1, b2)) <= TOL:
         raise DegenerateConfiguration("2-gon needs distinct vertices and edges")
     s1, s2 = _dot(b1, a1), _dot(b2, a2)
     if abs(s1) <= NONDEG_DET or abs(s2) <= NONDEG_DET:
@@ -227,11 +226,12 @@ def _lift_edge(a1, b1, a2, b2, tol=TOL):
     chord = _cross(A1, A2)
     n = _cross(b1, b2)
     nn = _dot(n, n)
-    if abs(_dot(chord, n)) / math.sqrt(nn) > 1e-7 * max(1.0, math.hypot(*chord)):
+    off_chord = abs(_dot(chord, n)) / math.sqrt(nn)
+    if off_chord > INSCRIBED_TOL * max(1.0, math.hypot(*chord)):
         raise NotInscribed("edge intersection is off the vertex chord")
     lam1 = _dot(_cross(chord, b2), n) / nn
     lam2 = _dot(_cross(b1, chord), n) / nn
-    if abs(lam1) <= tol or abs(lam2) <= tol:
+    if abs(lam1) <= TOL or abs(lam2) <= TOL:
         raise DegenerateConfiguration("chord normal degenerate in the edge pencil")
     x1 = float(np.cbrt(lam2 / lam1 ** 2))
     x2 = float(-np.cbrt(lam1 / lam2 ** 2))
@@ -248,16 +248,14 @@ def lift_dancing_pair(pair):
     open n = 2 case).  Two edge lifts meeting at a vertex agree exactly when
     the pair dances there; their largest relative disagreement |Q - P| /
     |(A, b)| is the certificate, and above LIFT_TOL ClosureFailure names its
-    vertex and value.  NotDancing is raised first when a dancing residual
-    exceeds DANCING_TOL.
+    vertex and value.  This is the one test of the dancing condition that
+    pipeline_forward, pipeline_inverse and `danceroll verify` apply; an edge
+    whose intersection is off its chord raises NotInscribed, a degenerate
+    edge DegenerateConfiguration, and fewer than two rows ValueError.
     """
     n = len(pair)
     if n < 2:
         raise ValueError("need at least two vertices")
-    for i in pair.vertex_indices():
-        r = dancing_residual(pair, i)
-        if abs(r) > DANCING_TOL:
-            raise NotDancing("dancing residual %.3g at vertex %d" % (r, i))
     A, b = pair.A.tolist(), pair.b.tolist()
     edges = [_lift_edge(A[i], b[i], A[(i + 1) % n], b[(i + 1) % n])
              for i in pair.edge_indices()]

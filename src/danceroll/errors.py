@@ -33,10 +33,6 @@ class NotInscribed(DancingError):
     pass
 
 
-class NotDancing(DancingError):
-    pass
-
-
 class ClosureFailure(DancingError):
     pass
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateQuadruple, NonUnitAxis, NotCollinear
 
 TOL = 1e-9
+COLLINEAR_TOL = 1e-6  # largest |p . n| / |n| of a point on the line with normal n
 
 
 def as_vec3(x):
@@ -111,7 +112,7 @@ def _line_coords(p1, p2, points, tol):
         alpha = [p, p2] / [p1, p2],   beta = [p1, p] / [p1, p2],
 
     where [p1, p2] = |n|^2.  A point counts as collinear with p1, p2 when the
-    determinant |p . n| / |n| is at most 1e-6.
+    determinant |p . n| / |n| is at most COLLINEAR_TOL.
     """
     n = _cross(p1, p2)
     nn = _dot(n, n)
@@ -121,7 +122,7 @@ def _line_coords(p1, p2, points, tol):
     coords = []
     for p in points:
         off = abs(_dot(p, n)) / norm
-        if off > 1e-6:
+        if off > COLLINEAR_TOL:
             raise NotCollinear("points are not collinear: det = %g" % off)
         coords.append((_dot(_cross(p, p2), n) / nn, _dot(_cross(p1, p), n) / nn))
     return coords

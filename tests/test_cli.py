@@ -203,22 +203,30 @@ class TestDanceUndance:
             assert proj_distance(v, t) <= 1e-8
 
     def test_pair_that_does_not_lift_back_exits_5(self, runner, tmp_path):
-        # dance writes this pair and verify passes it, but its non-degeneracy
-        # margin (2.9e-9) is so thin that consecutive edge lifts disagree by
-        # 2.9e-8, above the lift's LIFT_TOL
+        # the transported pair's non-degeneracy margin (2.9e-9) is so thin
+        # that consecutive edge lifts disagree by 2.9e-8, above the lift's
+        # LIFT_TOL: dance refuses the pair, since undance could not take it back
         poly = rolling.regular_polygon(11, 2, rolling.solve_phi(11, 2, 4))
         path = write(tmp_path, "p.json", docio.polygon_to_doc(poly))
-        pair_path = str(tmp_path / "pair.json")
+        pair_path = tmp_path / "pair.json"
         q_text = "-0.38976613221608436,-0.5351607267870846,0.7326618879846806,-0.15777172299482783"
-        res = runner.invoke(main, ["dance", path, "--q", q_text, "--out", pair_path])
-        assert res.exit_code == 0
-        assert runner.invoke(main, ["verify", pair_path]).exit_code == 0
-        res = runner.invoke(main, ["undance", pair_path])
+        res = runner.invoke(main, ["dance", path, "--q", q_text, "--out", str(pair_path)])
         assert res.exit_code == 5
         assert isinstance(res.exception, SystemExit)  # no traceback
         lines = res.output.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("pair does not lift back (ClosureFailure)")
+        assert not pair_path.exists()
+
+    def test_closed_pair_not_inscribed_at_its_closing_edge_exits_5(self, runner, tmp_path):
+        chain = dancing.random_dancing_chain(6, seed=21)
+        doc = dict(docio.pair_to_doc(chain), closed=True)
+        res = runner.invoke(main, ["undance", write(tmp_path, "open6.json", doc)])
+        assert res.exit_code == 5
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("pair does not lift back (NotInscribed)")
 
     def test_vertex_near_its_own_edge_exits_4(self, runner, tmp_path):
         # from this start a vertex of the pair lies 9.2e-10 off its own edge,
@@ -345,6 +353,47 @@ class TestVerify:
         edges = [line for line in res.output.splitlines() if line.startswith("edge ")]
         assert len(edges) == 6 and all(line.endswith("FAIL") for line in edges)
         assert runner.invoke(main, ["verify", path]).exit_code == 0
+
+    def test_one_row_pair_fails_without_a_traceback(self, runner, tmp_path):
+        # an open one-row pair has no vertex or edge condition; the lift,
+        # which needs two rows, fails it
+        doc = {"kind": "dancing-pair", "A": [[1, 0, 0]], "b": [[1, 1, 0]],
+               "closed": False}
+        res = runner.invoke(main, ["verify", write(tmp_path, "one.json", doc)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "lift: FAIL (ValueError: " in res.output
+
+
+class TestContract:
+    def test_what_dance_writes_verify_passes_and_undance_takes_back(self, runner, tmp_path):
+        # the regular (6, 2, 4) hexagon with its vertices moved by about 1e-9:
+        # its lifted monodromy defect is inside dance's default --tol, and
+        # lands on the closing vertex of the pair
+        hexagon = rolling.regular_polygon(6, 2, rolling.solve_phi(6, 2, 4)).vertices
+        q = np.full(4, 0.5)
+        pair_path = str(tmp_path / "pair.json")
+        danced = 0
+        for seed in range(40):
+            v = hexagon + 1e-9 * np.random.default_rng(seed).standard_normal((6, 3))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            doc = {"kind": "spherical", "rho": 3, "vertices": v.tolist(), "closed": True}
+            path = write(tmp_path, "hex%d.json" % seed, doc)
+            res = runner.invoke(main, ["dance", path, "--q", "0.5,0.5,0.5,0.5",
+                                       "--out", pair_path])
+            if res.exit_code != 0:
+                assert res.exit_code in (2, 4, 5), (seed, res.output)
+                continue
+            danced += 1
+            res = runner.invoke(main, ["verify", pair_path])
+            assert res.exit_code == 0, (seed, res.output)
+            res = runner.invoke(main, ["undance", pair_path])
+            assert res.exit_code == 0, (seed, res.output)
+            line = [ln for ln in res.output.splitlines()
+                    if ln.startswith("start quaternion")][0]
+            back = np.array(line.split("[")[1].rstrip("]").split(), dtype=float)
+            assert np.abs(back - q).max() <= 1e-8, seed
+        assert danced >= 10
 
 
 class TestMalformedDocuments:
